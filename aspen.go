@@ -474,7 +474,9 @@ type EngineConfig struct {
 	// when the estimates diverge ≥33% from what the current placement was
 	// optimized for (the paper's section 6, run at deployment scope). A
 	// migration whose target node died aborts into the base-station
-	// fallback instead.
+	// fallback instead. This is the only switch for migration inside an
+	// engine: an InnetLearn query migrates only when Adapt is on, and
+	// with Adapt off it keeps its initial placement like InnetCMPG.
 	Adapt bool
 	// Workers is the number of goroutines the scheduler uses to step live
 	// queries concurrently within an epoch: 0 or 1 runs sequentially, a

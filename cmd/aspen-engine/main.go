@@ -17,7 +17,8 @@
 // Directives:
 //
 //	-- id: <label>            report label (default q<n>)
-//	-- alg: <algorithm>       join strategy (default Innet-cmg)
+//	-- alg: <algorithm>       join strategy (default Innet-cmg; "Innet learn"
+//	                          migrates only with -adapt)
 //	-- query: <Q0..Q3>        run a built-in Table 2 query instead of SQL
 //	-- cycles: <n>            lifetime in epochs (default: whole run)
 //	-- admit: <epoch>         admission epoch (default 0)
@@ -135,7 +136,8 @@ starting with "--" are directives; the rest is one StreamSQL statement
 
   -- id: <label>           report label (default q<n>)
   -- alg: <algorithm>      Naive|Base|Yang+07|GHT|DHT|Innet|Innet-cm|
-                           Innet-cmg|Innet-cmpg|"Innet learn" (default Innet-cmg)
+                           Innet-cmg|Innet-cmpg|"Innet learn" (default Innet-cmg);
+                           "Innet learn" migrates only with -adapt
   -- query: <Q0..Q3>       run a built-in Table 2 query instead of SQL
   -- pairs: <n>            Q0 random pair count
   -- cycles: <n>           lifetime in epochs (default: whole run)

@@ -40,9 +40,8 @@ type Estimator struct {
 	// been observed.
 	sinceEstimate int
 	// lastCycle is the highest cycle number EndCycle has accounted; repeat
-	// calls for the same (or an earlier) cycle are no-ops, so a stepper-side
-	// learning pass and an engine-level adaptivity phase can both close the
-	// same cycle without double-advancing the estimation clock.
+	// calls for the same (or an earlier) cycle are no-ops, so closing a
+	// cycle twice never double-advances the estimation clock.
 	lastCycle int
 }
 
@@ -92,8 +91,8 @@ func (e *Estimator) Estimates() (p costmodel.Params, ok bool) {
 // been closed (or any earlier one) returns (Applied, false) without touching
 // any counter. Cycle numbers follow the Stepper BeginCycle contract — they
 // are per-query and monotonically non-decreasing, not globally unique — so
-// an estimator shared between the stepper's own learning pass and the
-// engine's adaptivity phase still advances exactly once per cycle.
+// a caller that re-closes a cycle still advances the clock exactly once
+// per cycle.
 func (e *Estimator) EndCycle(cycle int) (fresh costmodel.Params, triggered bool) {
 	if cycle <= e.lastCycle {
 		return e.Applied, false

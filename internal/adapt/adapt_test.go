@@ -125,16 +125,15 @@ func TestAdoptedParamsStopRetriggering(t *testing.T) {
 	}
 }
 
-// TestEndCycleIdempotentPerCycle is the regression test for the PR-4
-// BeginCycle contract: the stepper's own learning pass and the engine's
-// adaptivity phase may both close the same cycle, and the estimation clock
-// must advance exactly once.
+// TestEndCycleIdempotentPerCycle is the regression test for the
+// BeginCycle contract: a caller may close the same cycle more than once,
+// and the estimation clock must advance exactly once.
 func TestEndCycleIdempotentPerCycle(t *testing.T) {
 	e := New(params(1, 1, 0.2, 1))
 	e.Interval = 10
-	// Close every cycle twice (stepper pass + engine pass). Divergence is
-	// gross (no observations against applied sigma=1), so with a correctly
-	// advancing clock the first trigger lands exactly when cycle 9 closes.
+	// Close every cycle twice. Divergence is gross (no observations
+	// against applied sigma=1), so with a correctly advancing clock the
+	// first trigger lands exactly when cycle 9 closes.
 	for c := 0; c < 9; c++ {
 		if _, trig := e.EndCycle(c); trig {
 			t.Fatalf("triggered mid-interval at cycle %d", c)

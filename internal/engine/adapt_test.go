@@ -383,3 +383,43 @@ func TestWorkersMigrationByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestLearnFollowsEngineAdapt pins the engine semantics of InnetOptions.
+// Learn: inside an engine, Options.Adapt is the only adaptivity switch. On
+// identical seeds and a wrong optimizer hint, a Learn query with Adapt off
+// never migrates and pays exactly the bytes of the same variant without
+// Learn — the always-on estimators never change execution — while with
+// Adapt on it migrates, exactly as the non-Learn variant does.
+func TestLearnFollowsEngineAdapt(t *testing.T) {
+	wrong := &costmodel.Params{SigmaS: 0.05, SigmaT: 0.9, SigmaST: 0.1}
+	opts := join.InnetOptions{Multicast: true, PathCollapse: true, GroupOpt: true}
+	run := func(learn, adapt bool) *Report {
+		o := opts
+		o.Learn = learn
+		e := New(Options{Seed: 5, Adapt: adapt})
+		for i, sql := range []string{q1SQL(t), q2SQL(t)} {
+			_, err := e.Submit(QueryConfig{
+				ID: []string{"a", "b"}[i], SQL: sql, Opt: wrong,
+				Algorithm: join.Innet{Opts: o},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep := e.Run(40)
+		for i := range rep.Queries {
+			rep.Queries[i].Algorithm = ""
+		}
+		return rep
+	}
+	for _, adapt := range []bool{false, true} {
+		learn, plain := run(true, adapt), run(false, adapt)
+		if adapt != (learn.Migrations > 0) {
+			t.Fatalf("adapt=%v: Learn query migrated %d times", adapt, learn.Migrations)
+		}
+		if !reflect.DeepEqual(learn, plain) {
+			t.Fatalf("adapt=%v: Learn changed the engine run: %d vs %d bytes, %d vs %d results",
+				adapt, learn.AggregateBytes, plain.AggregateBytes, learn.Results, plain.Results)
+		}
+	}
+}

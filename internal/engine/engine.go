@@ -142,7 +142,9 @@ type Options struct {
 	// discipline as parallel stepping, so output stays byte-identical at
 	// any worker count. Liveness is consulted at each migration's commit
 	// point: a migration whose target died this epoch aborts into the
-	// section-7 base-station fallback.
+	// section-7 base-station fallback. Adapt is the engine's only
+	// adaptivity switch: a query whose algorithm sets
+	// join.InnetOptions.Learn does not migrate when Adapt is off.
 	Adapt bool
 	// Workers caps the goroutines Step uses to run live-query sampling
 	// cycles concurrently within an epoch: 0 or 1 is fully sequential,
@@ -536,7 +538,6 @@ func (e *Engine) admit(q *Query, epoch int) {
 		e.Sub.ExtendPositionIndex(e.shared)
 	}
 	jc := join.NewConfig(e.Topo, q.net, e.Sub, q.Spec, q.sampler, q.opt, q.Cycles)
-	jc.ExternalAdapt = e.opts.Adapt
 	q.stepper = q.Alg.Start(jc)
 	q.state = Live
 	q.admitEpoch = epoch

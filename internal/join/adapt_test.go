@@ -7,6 +7,7 @@
 package join
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -15,16 +16,21 @@ import (
 	"repro/internal/workload"
 )
 
-// adaptHarness starts an In-Net stepper under external adaptivity with
-// deliberately wrong optimizer estimates, so learning will trigger a
-// migration within a few estimate intervals.
+// adaptHarness starts an In-Net stepper with deliberately wrong optimizer
+// estimates, so AdaptEpoch will trigger a migration within a few estimate
+// intervals.
 func adaptHarness(t *testing.T, opts InnetOptions) (*harness, *engine) {
 	t.Helper()
 	h := newHarness(t, "Q0", workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2})
+	return h, Innet{Opts: opts}.Start(wrongConfig(h)).(*engine)
+}
+
+// wrongConfig is a 100-cycle config whose optimizer estimates invert the
+// harness's true producer rates.
+func wrongConfig(h *harness) *Config {
 	cfg := h.config(100, 0)
 	cfg.Opt = costmodel.Params{SigmaS: 1, SigmaT: 0.1, SigmaST: 0.2, W: h.spec.W}
-	cfg.ExternalAdapt = true
-	return h, Innet{Opts: opts}.Start(cfg).(*engine)
+	return cfg
 }
 
 // placements snapshots every pair's current join node, keyed by pair index.
@@ -148,6 +154,44 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				return
 			}
 			t.Fatal("wrong estimates never triggered a migration")
+		})
+	}
+}
+
+// TestLearnRunIsAdaptEpochLoop pins the single adaptivity path: a learning
+// Run is exactly an explicit Start -> Step(c) -> AdaptEpoch(c, nil) loop,
+// for the individual and the GROUPOPT (group-authority) variants. Query 1
+// has a transitive predicate, so GROUPOPT forms multi-pair groups. A group
+// move transfers windows like any migration, so the learning run delivers
+// every result the frozen placement does.
+func TestLearnRunIsAdaptEpochLoop(t *testing.T) {
+	h := newHarness(t, "Q1", workload.Rates{SigmaS: 0.1, SigmaT: 1, SigmaST: 0.2})
+	for _, opts := range []InnetOptions{
+		{Learn: true},
+		{Multicast: true, PathCollapse: true, GroupOpt: true, Learn: true},
+	} {
+		alg := Innet{Opts: opts}
+		t.Run(alg.Name(), func(t *testing.T) {
+			got := alg.Run(wrongConfig(h))
+
+			e := alg.Start(wrongConfig(h)).(*engine)
+			for c := 0; c < e.cfg.Cycles; c++ {
+				e.Step(c)
+				e.AdaptEpoch(c, nil)
+			}
+			want := e.Finish()
+			if want.Migrations == 0 {
+				t.Fatal("wrong estimates never triggered a migration")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Run diverged from the Step+AdaptEpoch loop: %d vs %d bytes, %d vs %d migrations",
+					got.TotalBytes, want.TotalBytes, got.Migrations, want.Migrations)
+			}
+			frozen := opts
+			frozen.Learn = false
+			if base := (Innet{Opts: frozen}).Run(wrongConfig(h)); got.Results != base.Results {
+				t.Fatalf("learning delivered %d results, frozen placement %d", got.Results, base.Results)
+			}
 		})
 	}
 }

@@ -31,8 +31,10 @@ type InnetOptions struct {
 	PathCollapse bool
 	// GroupOpt enables GROUPOPT (Algorithm 1) group-level decisions.
 	GroupOpt bool
-	// Learn enables adaptive selectivity learning and join-node
-	// migration (section 6).
+	// Learn makes a single-query Run re-optimize placement at the end of
+	// every cycle through AdaptEpoch (section 6). Inside internal/engine
+	// it only names the variant: an "Innet learn" query migrates there
+	// only when the engine's Adapt option is on.
 	Learn bool
 	// Trigger overrides the 33% divergence trigger when positive.
 	Trigger float64
@@ -79,7 +81,9 @@ type pairState struct {
 	// pair joins at the base station.
 	path routing.Path
 	jIdx int
-	est  *adapt.Estimator
+	// est learns the pair's selectivities from Step's observations; it is
+	// inert unless AdaptEpoch closes cycles on it.
+	est adapt.Estimator
 	// group indexes the engine's group table (-1 when ungrouped).
 	group int
 	dead  bool // endpoint failed; pair abandoned
@@ -94,6 +98,25 @@ func (p *pairState) joinNode() topology.NodeID {
 		return topology.Base
 	}
 	return p.path[p.jIdx]
+}
+
+// adoptRepair installs a repaired s..t path when it still passes through
+// p's join node, re-locating the join node on it, and reports whether it
+// did. A failed repair, or a detour that spliced the join node out, leaves
+// p untouched.
+func (p *pairState) adoptRepair(repaired routing.Path, ok bool) bool {
+	if !ok {
+		return false
+	}
+	j := p.joinNode()
+	for i, n := range repaired {
+		if n == j {
+			p.path = repaired
+			p.jIdx = i
+			return true
+		}
+	}
+	return false
 }
 
 // sSegment returns the s -> join node path (nil for base joins).
@@ -125,6 +148,10 @@ type producerState struct {
 	pairs  []*pairState
 	tree   *mpo.MulticastTree
 	recent []window.Tuple
+	// replay / rebuild mark the producer for a window replay to the base
+	// and a multicast-tree rebuild; set and cleared within one
+	// recoverPairs sweep.
+	replay, rebuild bool
 }
 
 // engine is the mutable run state of one In-Net execution. All per-node
@@ -169,8 +196,19 @@ type engine struct {
 	hop         [2]topology.NodeID
 }
 
-// Run implements Algorithm.
-func (in Innet) Run(cfg *Config) *Result { return runSteps(cfg, in.Start(cfg)) }
+// Run implements Algorithm. With Learn, every cycle ends with the same
+// AdaptEpoch pass an adaptive engine runs; a single query has no shared
+// liveness view, so it passes nil.
+func (in Innet) Run(cfg *Config) *Result {
+	e := in.Start(cfg).(*engine)
+	for cycle := 0; cycle < cfg.Cycles; cycle++ {
+		e.Step(cycle)
+		if in.Opts.Learn {
+			e.AdaptEpoch(cycle, nil)
+		}
+	}
+	return e.Finish()
+}
 
 // Start implements Continuous: it runs initiation (exploration, placement,
 // group optimization, multicast trees, path collapsing) and returns the
@@ -206,12 +244,6 @@ func (in Innet) Start(cfg *Config) Stepper {
 func (e *engine) Step(cycle int) {
 	maybeFail(e.cfg, cycle)
 	e.runCycle(cycle)
-	// With external adaptivity the engine's sequential phase closes the
-	// cycle on the estimators and owns migration; running the stepper-side
-	// pass too would migrate from inside the parallel section.
-	if e.opts.Learn && !e.cfg.ExternalAdapt {
-		e.endCycleLearning(cycle)
-	}
 }
 
 // Results implements Stepper.
@@ -279,17 +311,15 @@ func (e *engine) initiate() {
 			e.placePair(p, cfg.Opt, true)
 			e.pairs = append(e.pairs, p)
 			e.pairsOfS[s] = append(e.pairsOfS[s], p)
-			if e.opts.Learn || cfg.ExternalAdapt {
-				p.est = adapt.New(e.placementParams(cfg.Opt))
-				if e.opts.Trigger > 0 {
-					p.est.Trigger = e.opts.Trigger
-				}
-				if e.opts.EstimateInterval > 0 {
-					p.est.Interval = e.opts.EstimateInterval
-				}
-				if e.opts.ResetInterval > 0 {
-					p.est.Reset = e.opts.ResetInterval
-				}
+			p.est = *adapt.New(e.placementParams(cfg.Opt))
+			if e.opts.Trigger > 0 {
+				p.est.Trigger = e.opts.Trigger
+			}
+			if e.opts.EstimateInterval > 0 {
+				p.est.Interval = e.opts.EstimateInterval
+			}
+			if e.opts.ResetInterval > 0 {
+				p.est.Reset = e.opts.ResetInterval
 			}
 		}
 	}
@@ -329,12 +359,7 @@ func (e *engine) placementParams(opt costmodel.Params) costmodel.Params {
 // decision procedure), charging the nomination protocol when charge is
 // set.
 func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
-	pl := core.PlacePair(e.placementParams(opt), p.path, e.cfg.Sub.DepthToBase, core.PlacePolicy(e.opts.PlacementOverride))
-	if pl.AtBase {
-		p.jIdx = -1
-	} else {
-		p.jIdx = pl.PathIndex
-	}
+	e.placePairQuiet(p, opt)
 	if charge && e.cfg.Net != nil && p.jIdx >= 0 {
 		// t nominates j; j notifies s (section 3.2).
 		e.cfg.Net.Transfer(p.tSegment(), nominationBytes, sim.Control, sim.Flow{})
@@ -666,7 +691,7 @@ func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
 		e.matchCount[j] += len(ms)
 	}
 	for i := range ms {
-		if p := e.pairFor(ms[i].S, ms[i].T); p != nil && p.est != nil {
+		if p := e.pairFor(ms[i].S, ms[i].T); p != nil {
 			p.est.ObserveResults(1)
 		}
 	}
@@ -793,12 +818,10 @@ func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle i
 			continue
 		}
 		relevant = true
-		if p.est != nil {
-			if ps.key.role == query.S {
-				p.est.ObserveS()
-			} else {
-				p.est.ObserveT()
-			}
+		if ps.key.role == query.S {
+			p.est.ObserveS()
+		} else {
+			p.est.ObserveT()
 		}
 	}
 	if !relevant {
@@ -856,19 +879,11 @@ func (e *engine) handleDeliveryFailure(ps *producerState, p *pairState, cycle in
 	if cfg.Net.Alive(j) {
 		// Intermediate node failed: limited-exploration repair of the
 		// full pair path (section 7, via [11]).
-		repaired, ok := routing.RepairPath(cfg.Topo, cfg.Net, p.path, routing.DefaultRepairLimit)
-		if ok {
-			// Re-locate the join node on the repaired path.
-			for i, n := range repaired {
-				if n == j {
-					p.path = repaired
-					p.jIdx = i
-					if e.opts.Multicast {
-						e.rebuildTree(ps, true)
-					}
-					return
-				}
+		if p.adoptRepair(routing.RepairPath(cfg.Topo, cfg.Net, p.path, routing.DefaultRepairLimit)) {
+			if e.opts.Multicast {
+				e.rebuildTree(ps, true)
 			}
+			return
 		}
 		// Repair failed or lost the join node: fall through to base.
 	}
@@ -899,79 +914,22 @@ func (e *engine) handleDeliveryFailure(ps *producerState, p *pairState, cycle in
 // limited-exploration repair (probes charged once to the SHARED stream via
 // rp); pairs whose join node died — or whose gap is unbridgeable — switch
 // to the base station immediately (the deployment-wide view needs no
-// multi-cycle silent-node detection), replaying each affected producer's
-// retained window so the base can rebuild join state (charged to the
-// query's own stream, like any data). Multicast trees of affected
-// producers are rebuilt afterwards.
+// multi-cycle silent-node detection). See recoverPairs for the rest.
 func (e *engine) HandleNodeFailure(failed []topology.NodeID, rp *routing.Repairer) (repaired, fallbacks int) {
-	cfg := e.cfg
-	n := cfg.Topo.N()
-	// rebuild[role][id] marks producers needing a multicast-tree rebuild;
-	// replay[role][id] marks producers whose retained window must reach
-	// the base. Dense marks + the ordered e.order pass keep everything
-	// deterministic.
-	var rebuildS, rebuildT, replayS, replayT []bool
-	mark := func(set *[]bool, id topology.NodeID) {
-		if *set == nil {
-			*set = make([]bool, n)
-		}
-		(*set)[id] = true
-	}
-	for _, p := range e.pairs {
-		if p.dead {
-			continue
-		}
-		if !cfg.Net.Alive(p.s) || !cfg.Net.Alive(p.t) {
+	net := e.cfg.Net
+	return e.recoverPairs(rp, func(p *pairState) (affected, repairable bool) {
+		if !net.Alive(p.s) || !net.Alive(p.t) {
 			e.unregisterPair(p)
 			p.dead = true
-			continue
+			return false, false
 		}
+		// Base-joined pairs route over the substrate's base tree, which
+		// the engine rebuilds separately.
 		if p.jIdx < 0 || !p.path.ContainsAny(failed) {
-			// Base-joined pairs route over the substrate's base tree,
-			// which the engine rebuilds separately.
-			continue
+			return false, false
 		}
-		j := p.joinNode()
-		if cfg.Net.Alive(j) {
-			if rep, ok := rp.Repair(p.path); ok {
-				at := -1
-				for i, id := range rep {
-					if id == j {
-						at = i
-						break
-					}
-				}
-				if at >= 0 {
-					p.path = rep
-					p.jIdx = at
-					repaired++
-					mark(&rebuildS, p.s)
-					mark(&rebuildT, p.t)
-					continue
-				}
-				// The detour spliced the join node out; fall back.
-			}
-		}
-		// Join node gone or gap unbridgeable: coordinated base fallback.
-		e.fallbackToBase(p)
-		fallbacks++
-		mark(&replayS, p.s)
-		mark(&replayT, p.t)
-		mark(&rebuildS, p.s)
-		mark(&rebuildT, p.t)
-	}
-	for _, key := range e.order {
-		marked := func(set []bool) bool { return set != nil && set[key.id] }
-		ps := e.prodFor(key)
-		if (key.role == query.S && marked(replayS)) || (key.role == query.T && marked(replayT)) {
-			e.replayWindowToBase(ps)
-		}
-		if e.opts.Multicast &&
-			((key.role == query.S && marked(rebuildS)) || (key.role == query.T && marked(rebuildT))) {
-			e.rebuildTree(ps, true)
-		}
-	}
-	return repaired, fallbacks
+		return true, net.Alive(p.joinNode())
+	})
 }
 
 // HandleLinkFaults implements LinkFaultRecoverer: the link-layer analogue
@@ -983,163 +941,183 @@ func (e *engine) HandleNodeFailure(failed []topology.NodeID, rp *routing.Repaire
 // gets the limited-exploration repair through the link-aware Repairer
 // (probes charged once to the shared stream); a pair whose join node is
 // severed from the base station — or whose gap no detour bridges, e.g.
-// across a partition — falls back to joining at the base with its
-// producers' retained windows replayed, exactly the section-7 response to
-// a dead join node. Pairs already at the base route over the substrate
-// tree and are left alone: their delivery failures surface as observable
-// drops and losses, not silent stalls.
+// across a partition — falls back to joining at the base, exactly the
+// section-7 response to a dead join node. Pairs already at the base route
+// over the substrate tree and are left alone: their delivery failures
+// surface as observable drops and losses, not silent stalls.
 func (e *engine) HandleLinkFaults(rp *routing.Repairer) (rerouted, fallbacks int) {
-	cfg := e.cfg
-	n := cfg.Topo.N()
-	var rebuildS, rebuildT, replayS, replayT []bool
-	mark := func(set *[]bool, id topology.NodeID) {
-		if *set == nil {
-			*set = make([]bool, n)
+	net := e.cfg.Net
+	return e.recoverPairs(rp, func(p *pairState) (affected, repairable bool) {
+		if p.jIdx < 0 {
+			return false, false
 		}
-		(*set)[id] = true
-	}
+		pathCut := net.PathCut(p.path)
+		baseCut := net.PathCut(e.cfg.Sub.PathToBase(p.joinNode()))
+		return pathCut || baseCut, pathCut && !baseCut
+	})
+}
+
+// recoverPairs is the section-7 repair-or-fall-back sweep behind
+// HandleNodeFailure and HandleLinkFaults. check classifies each live pair
+// (and may abandon it): an affected, repairable pair tries the
+// limited-exploration repair through rp and keeps its join node when the
+// detour still reaches it; every other affected pair falls back to joining
+// at the base station. Afterwards, in the deterministic e.order pass, each
+// fallen-back pair's producers replay their retained windows to the base
+// (charged to the query's own stream, like any data) and every touched
+// producer's multicast tree is rebuilt.
+func (e *engine) recoverPairs(rp *routing.Repairer, check func(p *pairState) (affected, repairable bool)) (repaired, fallbacks int) {
 	for _, p := range e.pairs {
-		if p.dead || p.jIdx < 0 {
+		if p.dead {
 			continue
 		}
-		j := p.joinNode()
-		pathCut := cfg.Net.PathCut(p.path)
-		baseCut := cfg.Net.PathCut(cfg.Sub.PathToBase(j))
-		if !pathCut && !baseCut {
+		affected, repairable := check(p)
+		if !affected {
 			continue
 		}
-		if pathCut && !baseCut {
-			if rep, ok := rp.Repair(p.path); ok {
-				at := -1
-				for i, id := range rep {
-					if id == j {
-						at = i
-						break
-					}
-				}
-				if at >= 0 {
-					p.path = rep
-					p.jIdx = at
-					rerouted++
-					mark(&rebuildS, p.s)
-					mark(&rebuildT, p.t)
-					continue
-				}
-				// The detour spliced the join node out; fall back.
-			}
+		if repairable && p.adoptRepair(rp.Repair(p.path)) {
+			repaired++
+		} else {
+			e.fallbackToBase(p)
+			fallbacks++
+			e.prodS[p.s].replay = true
+			e.prodT[p.t].replay = true
 		}
-		// The join node is unreachable within policy — severed from the
-		// base or from its producers with no bridgeable detour. Fall back
-		// to the base station, replaying retained windows (section 7).
-		e.fallbackToBase(p)
-		fallbacks++
-		mark(&replayS, p.s)
-		mark(&replayT, p.t)
-		mark(&rebuildS, p.s)
-		mark(&rebuildT, p.t)
+		e.prodS[p.s].rebuild = true
+		e.prodT[p.t].rebuild = true
 	}
 	for _, key := range e.order {
-		marked := func(set []bool) bool { return set != nil && set[key.id] }
 		ps := e.prodFor(key)
-		if (key.role == query.S && marked(replayS)) || (key.role == query.T && marked(replayT)) {
+		if ps.replay {
 			e.replayWindowToBase(ps)
 		}
-		if e.opts.Multicast &&
-			((key.role == query.S && marked(rebuildS)) || (key.role == query.T && marked(rebuildT))) {
+		if e.opts.Multicast && ps.rebuild {
 			e.rebuildTree(ps, true)
 		}
+		ps.replay, ps.rebuild = false, false
 	}
-	return rerouted, fallbacks
+	return repaired, fallbacks
 }
 
 // --- Adaptive re-optimization (section 6) -------------------------------------
 
-func (e *engine) endCycleLearning(cycle int) {
-	migratedGroups := map[int]bool{}
+// AdaptEpoch implements Adaptive, the one section-6 re-optimization path:
+// the engine's adaptivity phase and a single-query learning Run both call
+// it after Step. It closes the given cycle on every live pair's estimator
+// (a no-op for cycles already closed, per the adapt.Estimator idempotence
+// contract) and re-optimizes on every trigger. Ungrouped pairs are
+// re-placed individually; grouped pairs are re-decided once per group per
+// call with the triggering pair's fresh estimates as the authority, so the
+// individual and group optima never fight each other across cycles.
+func (e *engine) AdaptEpoch(cycle int, live *topology.Liveness) (migrated, aborted int) {
+	adaptedGroups := map[int]bool{}
 	for _, p := range e.pairs {
-		if p.dead || p.est == nil {
+		if p.dead {
 			continue
 		}
 		fresh, triggered := p.est.EndCycle(cycle)
 		if !triggered {
 			continue
 		}
-		e.migratePair(p, fresh)
-		if e.opts.GroupOpt && p.group >= 0 && !migratedGroups[p.group] {
-			migratedGroups[p.group] = true
-			e.groupDecision(e.groups[p.group], fresh, true)
-			e.syncRegistrations(e.groups[p.group])
+		if e.opts.GroupOpt && p.group >= 0 {
+			if !adaptedGroups[p.group] {
+				adaptedGroups[p.group] = true
+				m, a := e.adaptGroup(e.groups[p.group], fresh, live)
+				migrated += m
+				aborted += a
+			}
+			continue
+		}
+		oldIdx, oldNode := p.jIdx, p.joinNode()
+		e.placePairQuiet(p, fresh)
+		m, a := e.commitMove(p, oldIdx, oldNode, true, live)
+		migrated += m
+		aborted += a
+	}
+	return migrated, aborted
+}
+
+// adaptGroup re-optimizes one GROUPOPT group with fresh estimates: every
+// in-network pair is individually re-placed (quietly — the nomination
+// point), then the group-level base-versus-in-network decision runs with
+// its usual coordination and nomination charging, and finally each move is
+// committed.
+func (e *engine) adaptGroup(group []*pairState, fresh costmodel.Params, live *topology.Liveness) (migrated, aborted int) {
+	oldIdx := make([]int, len(group))
+	oldNode := make([]topology.NodeID, len(group))
+	for i, p := range group {
+		oldIdx[i], oldNode[i] = p.jIdx, p.joinNode()
+		if !p.dead && p.jIdx >= 0 {
+			e.placePairQuiet(p, fresh)
 		}
 	}
+	e.groupDecision(group, fresh, true)
+	for i, p := range group {
+		if p.dead {
+			continue
+		}
+		// In-network repositioning came from the quiet individual pass;
+		// base-to-in-network moves were already nominated by the group
+		// decision's charged placement.
+		m, a := e.commitMove(p, oldIdx[i], oldNode[i], oldIdx[i] >= 0, live)
+		migrated += m
+		aborted += a
+	}
+	return migrated, aborted
 }
 
-// migratePair re-runs placement with learned parameters and, when the join
-// node moves, transfers the pair's windows to the new node (charged along
-// the path between old and new location).
-func (e *engine) migratePair(p *pairState, learned costmodel.Params) {
-	oldIdx := p.jIdx
-	oldNode := p.joinNode()
-	e.placePairQuiet(p, learned)
-	e.commitMigration(p, oldIdx, oldNode)
-}
-
-// migratePairChecked is the engine-phase variant of migratePair: the
-// re-placement decision is the nomination point, and live — the shared
-// deployment view — is consulted again at the commit point. A migration
-// whose target node died between optimization and commit aborts into the
-// section-7 base-station fallback: the pair re-joins at the base with its
-// producers' retained windows replayed once, and no window state is
-// installed at (or left registered to) the dead target. Returns
-// (1,0) for a committed move, (0,1) for an abort, (0,0) when the
-// placement did not change.
-func (e *engine) migratePairChecked(p *pairState, learned costmodel.Params, live *topology.Liveness) (migrated, aborted int) {
-	oldIdx := p.jIdx
-	oldNode := p.joinNode()
-	e.placePairQuiet(p, learned)
+// commitMove is the commit point of a re-placement already written to
+// p.jIdx, shared by the individual and the group path. An unchanged join
+// node restores the old index. Otherwise live — the shared deployment view,
+// nil for a single-query run — is consulted: a target that died between
+// optimization and commit aborts into the section-7 base fallback, with no
+// window state installed at (or left registered to) the dead node. A live
+// target gets the migration nomination exchange (when nominate is set) and
+// the pair's window. Returns (1,0) for a committed move, (0,1) for an
+// abort, (0,0) when the placement did not change.
+func (e *engine) commitMove(p *pairState, oldIdx int, oldNode topology.NodeID, nominate bool, live *topology.Liveness) (migrated, aborted int) {
 	if p.jIdx == oldIdx || p.joinNode() == oldNode {
 		p.jIdx = oldIdx
 		return 0, 0
 	}
 	if p.jIdx >= 0 && live != nil && !live.Alive(p.joinNode()) {
-		// Commit-point check failed: the nominated target is dead. Restore
-		// the old placement first so the fallback unregisters the correct
-		// (live) node, then take the shared section-7 path.
-		p.jIdx = oldIdx
-		e.res.MigrationsAborted++
-		if oldIdx >= 0 {
-			e.fallbackToBase(p)
-			e.replayWindowToBase(e.prodS[p.s])
-			e.replayWindowToBase(e.prodT[p.t])
-			if e.opts.Multicast {
-				e.rebuildTree(e.prodS[p.s], true)
-				e.rebuildTree(e.prodT[p.t], true)
-			}
-		}
-		// oldIdx < 0: the pair was already joining at the base; nothing
-		// moved, nothing to replay — the base still holds the window.
+		e.abortMigration(p, oldIdx)
 		return 0, 1
 	}
-	if !e.commitMigration(p, oldIdx, oldNode) {
+	if nominate && p.jIdx >= 0 {
+		e.nominateMigration(p)
+	}
+	if !e.transferWindow(p, oldIdx, oldNode) {
 		return 0, 1
 	}
 	return 1, 0
 }
 
-// commitMigration finalizes a re-placement already written to p.jIdx:
-// the producers are re-nominated toward the new join node and the pair's
-// window ships over, all charged as sim.Migration traffic. No-op when the
-// placement did not actually move. Returns whether the move committed —
-// false when the window transfer aborted on a partitioned path (see
-// transferWindow).
-func (e *engine) commitMigration(p *pairState, oldIdx int, oldNode topology.NodeID) bool {
-	if p.jIdx == oldIdx || p.joinNode() == oldNode {
-		p.jIdx = oldIdx
-		return true
+// abortMigration abandons a nominated move at its commit point. The old
+// placement is restored first so the fallback unregisters the correct
+// (live) node; a pair that was joining in-network then takes the shared
+// section-7 path — base fallback, producers' retained windows replayed,
+// multicast trees rebuilt. A pair already joining at the base stays there:
+// nothing moved, and the base still holds the authoritative window.
+func (e *engine) abortMigration(p *pairState, oldIdx int) {
+	p.jIdx = oldIdx
+	e.res.MigrationsAborted++
+	if oldIdx < 0 {
+		return
 	}
-	if p.jIdx >= 0 {
-		e.nominateMigration(p)
+	e.fallbackToBase(p)
+	e.replayWindowToBase(e.prodS[p.s])
+	e.replayWindowToBase(e.prodT[p.t])
+	e.rebuildPairTrees(p)
+}
+
+// rebuildPairTrees rebuilds (charged) both of p's producers' multicast
+// trees after p's join node moved; a no-op without multicast.
+func (e *engine) rebuildPairTrees(p *pairState) {
+	if e.opts.Multicast {
+		e.rebuildTree(e.prodS[p.s], true)
+		e.rebuildTree(e.prodT[p.t], true)
 	}
-	return e.transferWindow(p, oldIdx, oldNode)
 }
 
 // nominateMigration notifies the producers about an in-network join node
@@ -1160,8 +1138,7 @@ func (e *engine) nominateMigration(p *pairState) {
 // unregisterPair so a producer with no remaining pairs at the old node
 // drops its window rather than leaving stale tuples behind.
 // It returns whether the move committed: a transfer whose path is severed
-// by a fault-injected partition aborts into the base-station fallback and
-// returns false.
+// by a fault-injected partition aborts (abortMigration) and returns false.
 func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeID) bool {
 	newNode := p.joinNode()
 	tuples, bytes := e.stateAt(oldNode).Snapshot(p.s, p.t)
@@ -1185,23 +1162,9 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 		if !delivered && e.cfg.Net.PathCut(path) {
 			// The charged transfer path is partitioned mid-epoch: the
 			// snapshot cannot reach the target, and installing the pair
-			// there would leave a half-transferred window. Abort into the
-			// section-7 base fallback instead — the same discipline as the
-			// dead-target commit-point check — replaying the producers'
-			// retained windows so the base can rebuild join state.
-			p.jIdx = oldIdx
-			e.res.MigrationsAborted++
-			if oldIdx >= 0 {
-				e.fallbackToBase(p)
-				e.replayWindowToBase(e.prodS[p.s])
-				e.replayWindowToBase(e.prodT[p.t])
-				if e.opts.Multicast {
-					e.rebuildTree(e.prodS[p.s], true)
-					e.rebuildTree(e.prodT[p.t], true)
-				}
-			}
-			// oldIdx < 0: the pair was joining at the base and stays there;
-			// the base still holds the authoritative window.
+			// there would leave a half-transferred window. Abort the same
+			// way as a dead target at the commit point.
+			e.abortMigration(p, oldIdx)
 			return false
 		}
 	}
@@ -1224,107 +1187,8 @@ func (e *engine) transferWindow(p *pairState, oldIdx int, oldNode topology.NodeI
 		newState.Restore(keep)
 	}
 	e.res.Migrations++
-	if e.opts.Multicast {
-		e.rebuildTree(e.prodS[p.s], true)
-		e.rebuildTree(e.prodT[p.t], true)
-	}
+	e.rebuildPairTrees(p)
 	return true
-}
-
-// AdaptEpoch implements Adaptive: the engine-driven, epoch-boundary
-// analogue of endCycleLearning. It closes the given cycle on every live
-// pair's estimator — a no-op for cycles the stepper already closed, per the
-// adapt.Estimator idempotence contract — and re-optimizes on every
-// trigger. Ungrouped pairs run the individual checked migration; grouped
-// pairs are re-decided once per group per epoch with the triggering
-// pair's fresh estimates as the authority, so the individual and group
-// optima never fight each other across epochs (the stepper-era
-// migrate-then-sync sequence ping-ponged placements and discarded window
-// contents on every group move).
-func (e *engine) AdaptEpoch(cycle int, live *topology.Liveness) (migrated, aborted int) {
-	adaptedGroups := map[int]bool{}
-	for _, p := range e.pairs {
-		if p.dead || p.est == nil {
-			continue
-		}
-		fresh, triggered := p.est.EndCycle(cycle)
-		if !triggered {
-			continue
-		}
-		if e.opts.GroupOpt && p.group >= 0 {
-			if !adaptedGroups[p.group] {
-				adaptedGroups[p.group] = true
-				m, a := e.adaptGroup(e.groups[p.group], fresh, live)
-				migrated += m
-				aborted += a
-			}
-			continue
-		}
-		m, a := e.migratePairChecked(p, fresh, live)
-		migrated += m
-		aborted += a
-	}
-	return migrated, aborted
-}
-
-// adaptGroup re-optimizes one GROUPOPT group with fresh estimates: every
-// in-network pair is individually re-placed (quietly — the nomination
-// point), then the group-level base-versus-in-network decision runs with
-// its usual coordination and nomination charging, and finally each move is
-// committed. The commit loop is where liveness is consulted: a pair whose
-// new join node died this epoch aborts into the section-7 base fallback,
-// every other move transfers its window so no results are lost or
-// duplicated across the migration.
-func (e *engine) adaptGroup(group []*pairState, fresh costmodel.Params, live *topology.Liveness) (migrated, aborted int) {
-	oldIdx := make([]int, len(group))
-	oldNode := make([]topology.NodeID, len(group))
-	for i, p := range group {
-		oldIdx[i], oldNode[i] = p.jIdx, p.joinNode()
-		if !p.dead && p.jIdx >= 0 {
-			e.placePairQuiet(p, fresh)
-		}
-	}
-	e.groupDecision(group, fresh, true)
-	for i, p := range group {
-		if p.dead || p.jIdx == oldIdx[i] {
-			continue
-		}
-		if p.joinNode() == oldNode[i] {
-			p.jIdx = oldIdx[i]
-			continue
-		}
-		if p.jIdx >= 0 && live != nil && !live.Alive(p.joinNode()) {
-			// Commit-point check failed: the group decision nominated a
-			// node that died this epoch. Fall back to the base station
-			// with the windows replayed (section 7), never installing
-			// state at the dead target.
-			p.jIdx = oldIdx[i]
-			e.res.MigrationsAborted++
-			aborted++
-			if oldIdx[i] >= 0 {
-				e.fallbackToBase(p)
-				e.replayWindowToBase(e.prodS[p.s])
-				e.replayWindowToBase(e.prodT[p.t])
-				if e.opts.Multicast {
-					e.rebuildTree(e.prodS[p.s], true)
-					e.rebuildTree(e.prodT[p.t], true)
-				}
-			}
-			continue
-		}
-		if oldIdx[i] >= 0 && p.jIdx >= 0 {
-			// In-network repositioning came from the quiet individual
-			// pass; base-to-in-network moves were already nominated by
-			// the group decision's charged placement.
-			e.nominateMigration(p)
-		}
-		if e.transferWindow(p, oldIdx[i], oldNode[i]) {
-			migrated++
-		} else {
-			aborted++
-		}
-	}
-	return migrated, aborted
 }
 
 // placePairQuiet re-places without nomination charges (migration charges
@@ -1335,27 +1199,5 @@ func (e *engine) placePairQuiet(p *pairState, opt costmodel.Params) {
 		p.jIdx = -1
 	} else {
 		p.jIdx = pl.PathIndex
-	}
-}
-
-// syncRegistrations reconciles window registrations after a group-level
-// decision moved pairs without individual migration bookkeeping.
-func (e *engine) syncRegistrations(group []*pairState) {
-	for _, p := range group {
-		if p.dead {
-			continue
-		}
-		want := p.joinNode()
-		// Drop stale registrations elsewhere.
-		for j, st := range e.states {
-			if st != nil && topology.NodeID(j) != want {
-				st.RemovePair(p.s, p.t)
-			}
-		}
-		e.stateAt(want).AddPair(p.s, p.t)
-		if e.opts.Multicast {
-			e.rebuildTree(e.prodS[p.s], false)
-			e.rebuildTree(e.prodT[p.t], false)
-		}
 	}
 }

@@ -40,13 +40,6 @@ type Config struct {
 	// Merge enables Appendix E's opportunistic packet merging on the
 	// join-at-base data path: tuples sharing tree links ride one packet.
 	Merge bool
-
-	// ExternalAdapt tells the stepper that section-6 adaptivity is driven
-	// externally: the stepper keeps its selectivity estimators fed during
-	// Step but leaves re-placement to an engine-level Adaptive pass, even
-	// when its own Learn option is off. Steppers without learning support
-	// ignore it.
-	ExternalAdapt bool
 }
 
 // NewConfig fills the failure fields with their disabled defaults.
@@ -87,11 +80,13 @@ type Result struct {
 	// since the previous delivered result (the paper's Fig 14 "result
 	// delay": how long the base waits between events).
 	Delays []int
-	// Migrations counts adaptive join-node moves (learning variants).
+	// Migrations counts committed adaptive join-node moves: section 6
+	// re-optimization run through Adaptive.AdaptEpoch, by a single-query
+	// Innet learn Run or by an engine with adaptivity enabled.
 	Migrations int
 	// MigrationsAborted counts adaptive moves abandoned at the commit
-	// point because the target node had died; the pair fell back to the
-	// base station instead (engine-driven adaptivity only).
+	// point because the target node had died or the window-transfer path
+	// was partitioned; the pair fell back to the base station instead.
 	MigrationsAborted int
 	// AtBasePairs / InNetPairs report where pairs ended up.
 	AtBasePairs, InNetPairs int
@@ -199,16 +194,18 @@ type MemReporter interface {
 
 // Adaptive is implemented by steppers whose join-node placement can be
 // re-optimized by an external scheduler — section 6's adaptivity run at
-// deployment scope by internal/engine. AdaptEpoch closes the given sampling
-// cycle on every pair's selectivity estimator (idempotently, per the
-// adapt.Estimator contract, so it composes with stepper-side learning),
-// applies the divergence trigger, and executes any resulting window
-// migrations. The placement decision is the nomination point; live is
-// consulted at the commit point, and a migration whose target node is no
-// longer alive aborts into the section-7 base-station fallback instead of
-// installing window state on a dead node. It returns the number of
-// committed migrations and of aborted ones. The engine invokes it only
-// from its sequential adaptivity phase, never inside the parallel section.
+// deployment scope by internal/engine, and at the end of every cycle by a
+// single-query learning Run. It is the only place placement adapts: Step
+// feeds the selectivity estimators but never migrates. AdaptEpoch closes
+// the given sampling cycle on every pair's estimator (idempotently, per
+// the adapt.Estimator contract), applies the divergence trigger, and
+// executes any resulting window migrations. The placement decision is the
+// nomination point; live is consulted at the commit point, and a migration
+// whose target node is no longer alive aborts into the section-7
+// base-station fallback instead of installing window state on a dead node.
+// It returns the number of committed migrations and of aborted ones. The
+// engine invokes it only from its sequential adaptivity phase, never
+// inside the parallel section.
 type Adaptive interface {
 	AdaptEpoch(cycle int, live *topology.Liveness) (migrated, aborted int)
 }
