@@ -171,13 +171,9 @@ type Report struct {
 
 // Run executes one simulation.
 func Run(cfg Config) (*Report, error) {
-	kind, err := cfg.Topology.kind()
+	kind, n, err := deployment(cfg.Topology, cfg.Nodes, cfg.LossProb)
 	if err != nil {
 		return nil, err
-	}
-	n := cfg.Nodes
-	if n == 0 {
-		n = 100
 	}
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 100
@@ -268,6 +264,25 @@ func Run(cfg Config) (*Report, error) {
 // defaultRates is the paper's 1/2:1/2 stage with sigma_st = 10%.
 var defaultRates = workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
 
+// deployment validates the deployment settings Config and EngineConfig
+// share and returns the topology kind and the node count the deployment
+// will have (engine.EffectiveNodes: the default of 100, Intel's fixed 54
+// motes).
+func deployment(t TopologyKind, nodes int, loss *float64) (topology.Kind, int, error) {
+	kind, err := t.kind()
+	if err != nil {
+		return 0, 0, err
+	}
+	n := engine.EffectiveNodes(kind, nodes)
+	switch {
+	case nodes < 0 || n < 2:
+		return 0, 0, fmt.Errorf("aspen: Nodes = %d, a deployment needs at least 2 nodes (the base station and a sensor)", nodes)
+	case loss != nil && !(*loss >= 0 && *loss <= 1):
+		return 0, 0, fmt.Errorf("aspen: LossProb = %v, want a probability in [0, 1]", *loss)
+	}
+	return kind, n, nil
+}
+
 // specFor compiles a Table 2 query name into an executable spec — the one
 // place the name→constructor mapping lives, shared by Run and
 // Engine.Submit. Query 0's random endpoints derive from the run seed.
@@ -276,6 +291,9 @@ func specFor(q Query, topo *topology.Topology, nodes []workload.NodeInfo, pairs 
 	case Query0:
 		if pairs == 0 {
 			pairs = 10
+		}
+		if pairs < 0 || 2*pairs > topo.N()-1 {
+			return nil, fmt.Errorf("aspen: Query0 Pairs = %d: each pair takes 2 of the deployment's %d sensor nodes", pairs, topo.N()-1)
 		}
 		return workload.Query0(topo, nodes, pairs, rates, seed^7), nil
 	case Query1, "":
@@ -498,14 +516,12 @@ type EngineConfig struct {
 
 // DeploymentNodes returns the node count an engine built from this config
 // will deploy — the default of 100, and Intel's fixed 54 motes (for which
-// Nodes is ignored). Seeded churn schedules must be materialized against
-// this count, not the raw Nodes field.
+// Nodes is ignored) — or an error when the config is invalid. Seeded churn
+// schedules must be materialized against this count, not the raw Nodes
+// field.
 func (c EngineConfig) DeploymentNodes() (int, error) {
-	kind, err := c.Topology.kind()
-	if err != nil {
-		return 0, err
-	}
-	return engine.EffectiveNodes(kind, c.Nodes), nil
+	_, n, err := deployment(c.Topology, c.Nodes, c.LossProb)
+	return n, err
 }
 
 // QueryJob describes one continuous query submitted to an Engine: either
@@ -550,7 +566,7 @@ type Engine struct {
 // substrate construction traffic is charged once to the engine's shared
 // metrics stream.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
-	kind, err := cfg.Topology.kind()
+	kind, nodes, err := deployment(cfg.Topology, cfg.Nodes, cfg.LossProb)
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +609,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		opts.Retry = &p
 	}
-	nodes := engine.EffectiveNodes(kind, cfg.Nodes)
 	for _, ev := range cfg.Churn {
 		if ev.Node <= 0 || ev.Node >= nodes {
 			return nil, fmt.Errorf("aspen: churn event names node %d outside the deployment (1..%d; the base station never churns)", ev.Node, nodes-1)

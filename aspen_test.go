@@ -364,6 +364,52 @@ func TestEngineRejects(t *testing.T) {
 	}
 }
 
+// TestBadDeploymentSizesAreErrors: deployment sizes, loss probabilities
+// and Query0 pair counts a user can configure return errors from the
+// facade instead of panicking inside topology or workload construction.
+func TestBadDeploymentSizesAreErrors(t *testing.T) {
+	badLoss := 1.5
+	two, err := NewEngine(EngineConfig{Nodes: 2})
+	if err != nil {
+		t.Fatalf("2-node engine rejected: %v", err)
+	}
+	submit := func(job QueryJob) func() error {
+		return func() error { _, err := two.Submit(job); return err }
+	}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"NewEngine Nodes 1", func() error { _, err := NewEngine(EngineConfig{Nodes: 1}); return err }},
+		{"NewEngine Nodes -5", func() error { _, err := NewEngine(EngineConfig{Nodes: -5}); return err }},
+		{"NewEngine LossProb 1.5", func() error { _, err := NewEngine(EngineConfig{LossProb: &badLoss}); return err }},
+		{"DeploymentNodes Nodes 1", func() error { _, err := EngineConfig{Nodes: 1}.DeploymentNodes(); return err }},
+		{"Run Nodes 1", func() error { _, err := Run(Config{Nodes: 1}); return err }},
+		{"Run Nodes -5", func() error { _, err := Run(Config{Nodes: -5}); return err }},
+		{"Run LossProb 1.5", func() error { _, err := Run(Config{LossProb: &badLoss, Cycles: 2}); return err }},
+		{"Run Query0 on 3 nodes", func() error { _, err := Run(Config{Nodes: 3, Query: Query0}); return err }},
+		{"Run Query0 Pairs -1", func() error { _, err := Run(Config{Query: Query0, Pairs: -1}); return err }},
+		{"Submit Query0 on 2 nodes", submit(QueryJob{Query: Query0})},
+		{"Submit Query0 Pairs 1 on 2 nodes", submit(QueryJob{Query: Query0, Pairs: 1})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := c.call(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+	// The smallest valid deployment still builds and runs.
+	if _, err := Run(Config{Nodes: 2, Cycles: 2}); err != nil {
+		t.Fatalf("2-node run rejected: %v", err)
+	}
+}
+
 func TestMergeFlag(t *testing.T) {
 	plain, err := Run(Config{Algorithm: Base, Query: Query1, Cycles: 30})
 	if err != nil {

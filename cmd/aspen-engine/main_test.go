@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -310,5 +313,26 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("aspen expvar snapshot missing engine.epochs=10: %+v", snap.Counters)
+	}
+}
+
+// TestNodesOneIsAnError: `aspen-engine -nodes 1` reports an error and
+// exits 1 instead of panicking with a goroutine dump. The test re-runs its
+// own binary with main's arguments so the real flag path is exercised.
+func TestNodesOneIsAnError(t *testing.T) {
+	if os.Getenv("ASPEN_ENGINE_MAIN") == "1" {
+		os.Args = []string{"aspen-engine", "-nodes", "1", "-epochs", "1", "-baseline=false"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNodesOneIsAnError$")
+	cmd.Env = append(os.Environ(), "ASPEN_ENGINE_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("-nodes 1: want exit status 1, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "error: ") || strings.Contains(string(out), "goroutine") {
+		t.Fatalf("-nodes 1: want an error line and no panic dump, got:\n%s", out)
 	}
 }

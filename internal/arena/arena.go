@@ -1,52 +1,26 @@
 // Package arena provides byte-accounted slab allocation for the engine's
 // per-query and per-layer dense state: many same-lifetime dense slices are
 // carved out of single backing allocations, and every carve is charged to
-// a named arena with an explicit byte budget. The arenas do not own
-// deallocation (slabs die with their owner, as Go slices do); what they
-// add at 100k-node scale is (1) one backing allocation where a layer used
-// to make dozens, and (2) a live answer to "how many bytes does this layer
-// hold", surfaced through the engine's mem.* observability gauges and
-// checked against per-layer budgets by the bench heap gate.
+// the owning layer's arena. The arenas do not own deallocation (slabs die
+// with their owner, as Go slices do); what they add at 100k-node scale is
+// (1) one backing allocation where a layer used to make dozens, and (2) a
+// live answer to "how many bytes does this layer hold", surfaced through
+// the engine's mem.* observability gauges.
 package arena
 
 import "unsafe"
 
-// Arena is one named byte account with an optional budget. It is not
-// goroutine-safe; each layer owns its arena and allocates from its own
-// sequential phases.
+// Arena is one layer's byte account. It is not goroutine-safe; each layer
+// owns its arena and allocates from its own sequential phases.
 type Arena struct {
-	name   string
-	bytes  int64
-	budget int64
+	bytes int64
 }
 
-// New returns an empty arena named for the layer it accounts.
-func New(name string) *Arena { return &Arena{name: name} }
-
-// Name returns the layer name the arena was created with.
-func (a *Arena) Name() string { return a.name }
+// New returns an empty arena.
+func New() *Arena { return &Arena{} }
 
 // Bytes returns the bytes carved from the arena so far.
 func (a *Arena) Bytes() int64 { return a.bytes }
-
-// SetBudget sets the arena's byte budget; zero means unbudgeted.
-func (a *Arena) SetBudget(n int64) { a.budget = n }
-
-// Budget returns the configured byte budget (zero when unbudgeted).
-func (a *Arena) Budget() int64 { return a.budget }
-
-// OverBudget reports whether the carved bytes exceed a non-zero budget.
-// The budget is observational — allocation never fails — so layers stay
-// deterministic while the gauges and the bench heap gate expose overruns.
-func (a *Arena) OverBudget() bool { return a.budget > 0 && a.bytes > a.budget }
-
-// Grow accounts n extra bytes allocated outside the typed helpers (spill
-// slices, map growth estimates). Negative n is ignored.
-func (a *Arena) Grow(n int64) {
-	if n > 0 {
-		a.bytes += n
-	}
-}
 
 // Slice allocates one dense length-n []T charged to the arena.
 func Slice[T any](a *Arena, n int) []T {

@@ -3,7 +3,7 @@ package arena
 import "testing"
 
 func TestSliceAccounting(t *testing.T) {
-	a := New("test")
+	a := New()
 	_ = Slice[int64](a, 100)
 	if a.Bytes() != 800 {
 		t.Fatalf("Bytes = %d, want 800", a.Bytes())
@@ -15,7 +15,7 @@ func TestSliceAccounting(t *testing.T) {
 }
 
 func TestCarveIndependence(t *testing.T) {
-	a := New("test")
+	a := New()
 	parts := Carve[int](a, 3, 2, 4)
 	if len(parts) != 3 || len(parts[0]) != 3 || len(parts[1]) != 2 || len(parts[2]) != 4 {
 		t.Fatalf("bad carve shape: %v", parts)
@@ -31,28 +31,5 @@ func TestCarveIndependence(t *testing.T) {
 	parts[0][0], parts[1][0], parts[2][3] = 1, 2, 3
 	if parts[0][0] != 1 || parts[1][0] != 2 || parts[2][3] != 3 {
 		t.Fatalf("carves do not hold writes")
-	}
-}
-
-func TestBudget(t *testing.T) {
-	a := New("join")
-	if a.OverBudget() {
-		t.Fatalf("empty arena over budget")
-	}
-	a.SetBudget(16)
-	_ = Slice[byte](a, 16)
-	if a.OverBudget() {
-		t.Fatalf("at-budget arena reported over")
-	}
-	a.Grow(1)
-	if !a.OverBudget() {
-		t.Fatalf("over-budget arena not reported")
-	}
-	if a.Name() != "join" || a.Budget() != 16 || a.Bytes() != 17 {
-		t.Fatalf("accessors wrong: %s %d %d", a.Name(), a.Budget(), a.Bytes())
-	}
-	a.Grow(-5)
-	if a.Bytes() != 17 {
-		t.Fatalf("negative Grow applied")
 	}
 }

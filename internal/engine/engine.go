@@ -138,12 +138,11 @@ type Options struct {
 	// cycle on its selectivity estimators (fed from the stepper's own
 	// observations, never from Obs metrics) and executes any triggered
 	// window migrations. The phase is sequential and in submission order,
-	// and its traffic is charged through the same per-query ledger
-	// discipline as parallel stepping, so output stays byte-identical at
-	// any worker count. Liveness is consulted at each migration's commit
-	// point: a migration whose target died this epoch aborts into the
-	// section-7 base-station fallback. Adapt is the engine's only
-	// adaptivity switch: a query whose algorithm sets
+	// and its traffic is charged to each query's own network, so output
+	// stays byte-identical at any worker count. Liveness is consulted at
+	// each migration's commit point: a migration whose target died this
+	// epoch aborts into the section-7 base-station fallback. Adapt is the
+	// engine's only adaptivity switch: a query whose algorithm sets
 	// join.InnetOptions.Learn does not migrate when Adapt is off.
 	Adapt bool
 	// Workers caps the goroutines Step uses to run live-query sampling
@@ -151,19 +150,12 @@ type Options struct {
 	// <0 means one worker per CPU core. Output is byte-identical at any
 	// worker count — the same guarantee experiments.Config.Workers gives
 	// sweep fan-out — because every query owns its network, rng streams
-	// and join state outright, shared structures (substrate, topology,
-	// liveness) are read-only while steppers run, and each worker charges
-	// a thread-local sim.ChargeBuffer that Step merges in submission
-	// order at the epoch barrier. Admission, churn and recovery stay
-	// sequential: they mutate shared state.
+	// and join state outright (a query's traffic is charged to its own
+	// network by the one worker stepping it), and shared structures
+	// (substrate, topology, liveness) are read-only while steppers run.
+	// Admission, churn and recovery stay sequential: they mutate shared
+	// state.
 	Workers int
-	// MemBudgetJoinBytes / MemBudgetRoutingBytes are observational
-	// per-layer byte budgets for arena-accounted dense state (zero means
-	// unbudgeted). Budgets never gate allocation — runs stay byte-identical
-	// with or without them — they are published through the mem.*.budget
-	// gauges so dashboards and the bench heap gate can flag overruns.
-	MemBudgetJoinBytes    int64
-	MemBudgetRoutingBytes int64
 	// Obs, when non-nil, collects engine metrics (see internal/obs and
 	// DESIGN.md's "Observability model"): lifecycle counters, churn
 	// recovery tallies, per-class byte gauges sampled at the epoch
@@ -285,10 +277,6 @@ type Query struct {
 	lastResults int
 	lastLost    int
 	result      *join.Result
-	// ledger is the query's per-epoch traffic buffer for parallel
-	// stepping (allocated lazily on the first parallel epoch, reused for
-	// the query's lifetime).
-	ledger *sim.ChargeBuffer
 }
 
 // State returns the query's lifecycle state.
@@ -637,12 +625,10 @@ func (e *Engine) applyLinkFaults(epoch int, pt *phaseTimer) (rerouted, fallbacks
 // and executes any triggered window migrations against the post-recovery
 // liveness view. Queries admitted this epoch are skipped — they have no
 // completed cycle to close. All adaptivity traffic (window snapshots,
-// re-nominations, fallback replays) is charged through the query's
-// sim.ChargeBuffer ledger and merged immediately, the same discipline the
-// parallel stepping section uses, so the phase's accounting is identical
-// at any worker count.
+// re-nominations, fallback replays) is charged to the query's own
+// network, as in the stepping section, so the phase's accounting is
+// identical at any worker count.
 func (e *Engine) applyAdapt(epoch int, pt *phaseTimer) (migrated, aborted int) {
-	n := e.Topo.N()
 	for _, q := range e.queries {
 		if q.state != Live || q.admitEpoch >= epoch {
 			continue
@@ -651,13 +637,7 @@ func (e *Engine) applyAdapt(epoch int, pt *phaseTimer) (migrated, aborted int) {
 		if !ok {
 			continue
 		}
-		if q.ledger == nil {
-			q.ledger = sim.NewChargeBuffer(n)
-		}
-		q.net.AttachLedger(q.ledger)
 		m, a := ad.AdaptEpoch(epoch-1-q.admitEpoch, e.live)
-		q.net.DetachLedger()
-		q.net.MergeLedger(q.ledger)
 		migrated += m
 		aborted += a
 	}
@@ -670,14 +650,14 @@ func (e *Engine) applyAdapt(epoch int, pt *phaseTimer) (migrated, aborted int) {
 // Step runs one scheduler epoch: admissions due this epoch, then the
 // epoch's churn events plus engine-wide failure recovery, then the
 // sequential adaptivity phase (when Options.Adapt is set), then one
-// sampling cycle of every live query, then the deterministic merge of
-// per-query accounting (in submission order) and retirements. It reports
-// whether any query is still pending or live.
+// sampling cycle of every live query, then the epoch barrier: result
+// deltas and retirements in submission order. It reports whether any
+// query is still pending or live.
 //
 // With Options.Workers > 1 the sampling cycles run concurrently on a
 // worker pool (see stepLive); everything before and after the parallel
-// section — admission, churn, recovery, ledger merge, result deltas,
-// retirement, the OnEpoch hook — is sequential and in submission order,
+// section — admission, churn, recovery, result deltas, retirement, the
+// OnEpoch hook — is sequential and in submission order,
 // so the epoch's observable output is byte-identical at any worker count.
 //
 // The EpochStats value is only materialized when an OnEpoch hook is
@@ -755,9 +735,8 @@ func (e *Engine) Step() bool {
 	}
 	e.stepLive(epoch, e.stepList)
 	pt.done(phaseStep, epoch)
-	// Epoch barrier: every stepper has finished its cycle. Accounting —
-	// ledger merges (done inside stepLive), result deltas, retirements —
-	// runs sequentially in submission order.
+	// Epoch barrier: every stepper has finished its cycle. Result deltas
+	// and retirements run sequentially in submission order.
 	retired := 0
 	for _, q := range e.stepList {
 		r := q.stepper.Results()
@@ -795,85 +774,69 @@ func (e *Engine) Step() bool {
 	return e.unretired > 0
 }
 
-// stepLive runs one sampling cycle of every query in qs. With one worker
-// (or one query) it is a plain sequential loop charging each query's
-// network directly. With more, the queries fan out over a pool of
-// goroutines: each query's cycle runs entirely on one worker, charging a
-// per-query sim.ChargeBuffer instead of its network's counters, and the
-// buffers merge into the per-query networks in submission order once the
-// pool drains. The merge makes the parallel path byte-identical to the
-// sequential one: every query owns its rng streams (loss, sampler), its
-// join/window state and its network; shared structures — routing
-// substrate, topology, parent caches, the deployment liveness view — are
-// only read while steppers run (churn and admission mutate them strictly
-// outside this section); and shared-substrate traffic is charged on the
-// shared stream by the sequential sections exactly once, never through a
-// worker's ledger.
+// stepLive runs one sampling cycle of every query in qs: with one worker
+// (or one query) in order, through stepSequential when nothing is observed
+// and one inline stepShare otherwise; with more, on a pool of goroutines
+// each running stepShare, so every query's cycle runs on one worker. The
+// pool is byte-identical to the sequential loop: every query owns its rng
+// streams, join/window state and network, so the worker stepping it is
+// the only writer of that network's counters, loss stream and relay
+// queues; shared structures (substrate, topology, parent caches, the
+// liveness view) are only read while steppers run, and shared-substrate
+// traffic is charged by the sequential sections.
 func (e *Engine) stepLive(epoch int, qs []*Query) {
 	workers := e.workers
 	if workers > len(qs) {
 		workers = len(qs)
-	}
-	// Per-step instrumentation: worker w charges shard w of the sharded
-	// counters with plain adds (zero-value handles are no-ops) and records
-	// a span on lane 1+w; the shards fold into published totals at the
-	// barrier, in observeEpoch. The clock is only read when observing.
-	var busy, steps obs.ShardedCounter
-	if e.inst != nil {
-		busy, steps = e.inst.workerBusyUS, e.inst.workerSteps
 	}
 	if workers <= 1 {
 		if !e.observing() {
 			e.stepSequential(epoch, qs)
 			return
 		}
-		lane := e.opts.Trace.Lane(1)
-		for _, q := range qs {
-			t0 := time.Now() //aspen:wallclock obs-only worker timing
-			q.stepper.Step(epoch - q.admitEpoch)
-			busy.Add(0, time.Since(t0).Microseconds()) //aspen:wallclock obs-only worker timing
-			steps.Add(0, 1)
-			lane.Span(q.ID, epoch, q.ID, t0)
-		}
+		var next atomic.Int64
+		e.stepShare(0, epoch, qs, &next)
 		return
 	}
-	n := e.Topo.N()
-	for _, q := range qs {
-		if q.ledger == nil {
-			q.ledger = sim.NewChargeBuffer(n)
-		}
-		q.net.AttachLedger(q.ledger)
-	}
-	observing := e.observing()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			lane := e.opts.Trace.Lane(1 + w)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				q := qs[i]
-				if !observing {
-					q.stepper.Step(epoch - q.admitEpoch)
-					continue
-				}
-				t0 := time.Now() //aspen:wallclock obs-only worker timing
-				q.stepper.Step(epoch - q.admitEpoch)
-				busy.Add(w, time.Since(t0).Microseconds()) //aspen:wallclock obs-only worker timing
-				steps.Add(w, 1)
-				lane.Span(q.ID, epoch, q.ID, t0)
-			}
+			e.stepShare(w, epoch, qs, &next)
 		}(w)
 	}
 	wg.Wait()
-	for _, q := range qs {
-		q.net.DetachLedger()
-		q.net.MergeLedger(q.ledger)
+}
+
+// stepShare is worker w's share of stepLive: it steps every qs[i] whose
+// index i it claims from next. When observing, it charges shard w of the
+// sharded counters with plain adds (folded into published totals at the
+// barrier, in observeEpoch) and records a span on lane 1+w; the clock is
+// only read when observing.
+func (e *Engine) stepShare(w, epoch int, qs []*Query, next *atomic.Int64) {
+	observing := e.observing()
+	var busy, steps obs.ShardedCounter
+	if e.inst != nil {
+		busy, steps = e.inst.workerBusyUS, e.inst.workerSteps
+	}
+	lane := e.opts.Trace.Lane(1 + w)
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= len(qs) {
+			return
+		}
+		q := qs[i]
+		if !observing {
+			q.stepper.Step(epoch - q.admitEpoch)
+			continue
+		}
+		t0 := time.Now() //aspen:wallclock obs-only worker timing
+		q.stepper.Step(epoch - q.admitEpoch)
+		busy.Add(w, time.Since(t0).Microseconds()) //aspen:wallclock obs-only worker timing
+		steps.Add(w, 1)
+		lane.Span(q.ID, epoch, q.ID, t0)
 	}
 }
 

@@ -82,10 +82,8 @@ type instruments struct {
 	drops       obs.Gauge
 	retransmits obs.Gauge
 
-	memJoin          obs.Gauge
-	memRouting       obs.Gauge
-	memJoinBudget    obs.Gauge
-	memRoutingBudget obs.Gauge
+	memJoin    obs.Gauge
+	memRouting obs.Gauge
 
 	joinTuples   obs.Gauge
 	joinPerQuery obs.Histogram
@@ -132,10 +130,8 @@ func newInstruments(reg *obs.Registry, workers int) *instruments {
 		drops:       reg.Gauge("sim.drops"),
 		retransmits: reg.Gauge("sim.retransmissions"),
 
-		memJoin:          reg.Gauge("mem.join.bytes"),
-		memRouting:       reg.Gauge("mem.routing.bytes"),
-		memJoinBudget:    reg.Gauge("mem.join.budget_bytes"),
-		memRoutingBudget: reg.Gauge("mem.routing.budget_bytes"),
+		memJoin:    reg.Gauge("mem.join.bytes"),
+		memRouting: reg.Gauge("mem.routing.bytes"),
 
 		joinTuples:   reg.Gauge("join.state.tuples"),
 		joinPerQuery: reg.Histogram("join.state.tuples_per_query", obs.SizeBounds()),
@@ -231,7 +227,7 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 
 	sm := e.shared.Metrics()
 	in.sharedBytes.Set(sm.TotalBytes)
-	// Migration traffic is control-plane traffic: its ledger class stays
+	// Migration traffic is control-plane traffic: its traffic class stays
 	// distinct for test assertions, but the published gauge folds it into
 	// sim.bytes.control.
 	var kind [3]int64
@@ -285,11 +281,9 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 	in.joinTuples.Set(tuples)
 
 	// Arena accounting: bytes held by each layer's slab-backed dense
-	// state, next to the layer's configured (observational) budget.
+	// state.
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
-	in.memJoinBudget.Set(e.opts.MemBudgetJoinBytes)
-	in.memRoutingBudget.Set(e.opts.MemBudgetRoutingBytes)
 }
 
 // observeAdapt folds one epoch's adaptivity outcome into the counters.

@@ -151,9 +151,10 @@ func TestWorkersChurnByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkersTrafficExactlyOnce: the ledger merge must neither drop nor
-// duplicate charges — per-query totals and the shared stream agree with
-// the sequential run, and the aggregate identity holds.
+// TestWorkersTrafficExactlyOnce: workers charging each query's own network
+// directly must neither drop nor duplicate charges — per-query totals and
+// the shared stream agree with the sequential run, and the aggregate
+// identity holds.
 func TestWorkersTrafficExactlyOnce(t *testing.T) {
 	seq, _ := mixedRun(t, 1, nil)
 	par, _ := mixedRun(t, 4, nil)

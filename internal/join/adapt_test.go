@@ -45,7 +45,7 @@ func placements(e *engine) []topology.NodeID {
 // TestAdaptEpochIdempotentAndSingleCharged: closing the same cycle twice
 // must not re-trigger (the adapt.Estimator idempotence contract carried
 // through the stepper), and migration traffic — window snapshots plus
-// re-nominations — lands exactly once, in the sim.Migration ledger class.
+// re-nominations — lands exactly once, in the sim.Migration traffic class.
 func TestAdaptEpochIdempotentAndSingleCharged(t *testing.T) {
 	_, e := adaptHarness(t, InnetOptions{})
 	migrated := 0
@@ -69,7 +69,7 @@ func TestAdaptEpochIdempotentAndSingleCharged(t *testing.T) {
 		t.Fatal("committed migration charged no sim.Migration traffic")
 	}
 	if ctl := e.cfg.Net.Metrics().KindBytes(sim.Control); ctl == 0 {
-		t.Fatal("initiation control traffic missing — ledger classes conflated?")
+		t.Fatal("initiation control traffic missing — traffic classes conflated?")
 	}
 	before := e.cfg.Net.Metrics().TotalBytes
 	m, a := e.AdaptEpoch(cycle, nil)

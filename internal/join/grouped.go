@@ -34,7 +34,7 @@ func (Naive) Start(cfg *Config) Stepper {
 	// No initiation (beyond initial routing-tree construction, which is
 	// shared by every algorithm and excluded per Table 3).
 	snapshotInit(cfg, res)
-	mem := arena.New("join")
+	mem := arena.New()
 	return &baseStepper{
 		cfg:       cfg,
 		res:       res,
@@ -56,7 +56,7 @@ type baseStepper struct {
 	producers []producerSlot
 	filter    *participantFilter
 	// mem accounts the stepper's dense per-node state for the engine's
-	// per-layer budget gauges.
+	// mem.join.bytes gauge.
 	mem *arena.Arena
 	// done and matchBuf are per-cycle scratch (dual-role dedup marks and
 	// the reusable Arrive buffer) so Step calls never allocate; done is
@@ -163,7 +163,7 @@ func (Base) Start(cfg *Config) Stepper {
 	}
 	snapshotInit(cfg, res)
 	// Computation: only producers participating in at least one pair send.
-	mem := arena.New("join")
+	mem := arena.New()
 	return &baseStepper{
 		cfg:       cfg,
 		res:       res,
@@ -231,7 +231,7 @@ func (Yang07) Run(cfg *Config) *Result { return runSteps(cfg, Yang07{}.Start(cfg
 // Start implements Continuous.
 func (Yang07) Start(cfg *Config) Stepper {
 	res := &Result{Algorithm: "Yang+07"}
-	mem := arena.New("join")
+	mem := arena.New()
 	y := &yangStepper{
 		cfg:         cfg,
 		res:         res,

@@ -165,7 +165,7 @@ type engine struct {
 	rec  *recorder
 	// mem accounts the query's dense per-node state: the NodeID-indexed
 	// slices below are carved from it in one slab per element type, and
-	// MemBytes answers the engine's per-layer budget gauges.
+	// MemBytes answers the engine's mem.join.bytes gauge.
 	mem   *arena.Arena
 	pairs []*pairState
 	// pairsOfS[s] lists the pairs whose source endpoint is s; a (s,t)
@@ -215,7 +215,7 @@ func (in Innet) Run(cfg *Config) *Result {
 // cycle-steppable execution.
 func (in Innet) Start(cfg *Config) Stepper {
 	n := cfg.Topo.N()
-	mem := arena.New("join")
+	mem := arena.New()
 	marks := arena.Carve[bool](mem, n, n, n)
 	prods := arena.Carve[*producerState](mem, n, n)
 	e := &engine{

@@ -186,8 +186,7 @@ type LinkFaultRecoverer interface {
 
 // MemReporter is implemented by steppers that account their dense
 // per-node state on arena slabs. The engine sums the reports into its
-// per-layer mem.join.bytes gauge and checks them against the configured
-// byte budget at each epoch barrier.
+// per-layer mem.join.bytes gauge at each epoch barrier.
 type MemReporter interface {
 	MemBytes() int64
 }

@@ -72,12 +72,12 @@ func (n *Network) chargeBackoff(from, to topology.NodeID, retries int, kind MsgK
 	if n.retry.BackoffBytes <= 0 || retries <= 0 {
 		return
 	}
-	acct := n.acct
+	m := &n.metrics
 	b := int64(n.retry.BackoffBytes) * int64(retries)
-	acct.TotalBytes += b
-	acct.NodeBytes[from] += b
-	acct.ByKind[kind] += b
+	m.TotalBytes += b
+	m.NodeBytes[from] += b
+	m.ByKind[kind] += b
 	if from == topology.Base || to == topology.Base {
-		acct.BaseBytes += b
+		m.BaseBytes += b
 	}
 }
