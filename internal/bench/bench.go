@@ -141,8 +141,9 @@ func engine1kScenario(pin, workers int, tr *obs.Tracer) Scenario {
 // headroom (see DESIGN.md, "Scale model"). A run drifting past its
 // ceiling fails the `aspen-bench -max-heap-bytes` gate.
 const (
-	churn10kHeapCeiling   = 32 << 20  // measured ~19 MB live
-	engine100kHeapCeiling = 192 << 20 // measured ~107 MB live
+	churn10kHeapCeiling     = 32 << 20  // measured ~19 MB live
+	engine100kHeapCeiling   = 192 << 20 // measured ~107 MB live
+	engine10k64qHeapCeiling = 36 << 20  // measured ~23 MB live
 )
 
 // engine100kScenario is the deployment-scale ceiling: one bounded 4-pair
@@ -175,6 +176,41 @@ func engine100kScenario(workers int, tr *obs.Tracer) Scenario {
 	}
 }
 
+// engine10k64qScenario is the per-query memory ceiling: 64 live 4-pair
+// Query0 queries, each with its own endpoints, on one 10000-node Dense
+// Random deployment, 5 epochs. Per-query state sized to the deployment
+// (dense per-node tables, per-node columns) multiplies by 64 here, so the
+// committed ceiling fails a run whose queries stop scaling with what they
+// touch. The live heap is measured post-GC while the engine is still
+// referenced.
+func engine10k64qScenario(workers int, tr *obs.Tracer) Scenario {
+	return Scenario{
+		Name:        "engine-10k-64q",
+		Desc:        "64 live 4-pair queries over one shared 10000-node Dense Random deployment, 5 epochs, gated live-heap ceiling",
+		Workers:     workers,
+		HeapCeiling: engine10k64qHeapCeiling,
+		RunHeap: func() (int64, float64, int64) {
+			e := engine.New(engine.Options{Seed: 1, Kind: topology.DenseRandom, Nodes: 10000, Workers: workers, Trace: tr})
+			rates := workload.Rates{SigmaS: 0.5, SigmaT: 0.5, SigmaST: 0.1}
+			for q := 0; q < 64; q++ {
+				spec := workload.Query0(e.Topo, e.Nodes, 4, rates, uint64(q+1))
+				if _, err := e.Submit(engine.QueryConfig{Spec: spec}); err != nil {
+					panic("bench: engine-10k-64q scenario submit: " + err.Error())
+				}
+			}
+			for i := 0; i < 5; i++ {
+				e.Step()
+			}
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			heap := int64(m.HeapAlloc)
+			rep := e.Run(0)
+			return rep.AggregateBytes, float64(rep.Results), heap
+		},
+	}
+}
+
 // churn10kScenario exercises incremental tree maintenance at deployment
 // scale: a 10k-node routing substrate under 8 rounds of interior-node
 // failure, each round killing the alive non-root node owning the largest
@@ -191,13 +227,10 @@ func churn10kScenario() Scenario {
 			const n = 10000
 			topo := topology.Generate(topology.DenseRandom, n, 1)
 			live := topology.NewLiveness(n)
-			vals := make([]int32, n)
-			for i := range vals {
-				vals[i] = int32(i % 37)
-			}
+			band := func(id topology.NodeID) int32 { return int32(id % 37) }
 			specs := []routing.IndexSpec{
-				{Attr: "id", Kind: routing.BloomSummary, Values: vals},
-				{Attr: "band", Kind: routing.HistogramSummary, Values: vals, Lo: 0, Hi: 37},
+				{Attr: "id", Kind: routing.BloomSummary, Value: band},
+				{Attr: "band", Kind: routing.HistogramSummary, Value: band, Lo: 0, Hi: 37},
 			}
 			net := sim.NewSharedNetwork(topo, 0.05, 7, live)
 			sub := routing.NewSubstrate(topo, routing.Options{NumTrees: 2, Indexes: specs, IndexPositions: true}, net)
@@ -314,6 +347,7 @@ func scenariosWith(override int, tr *obs.Tracer) []Scenario {
 		engine1kScenario(0, w, tr),
 		engine1kScenario(4, 0, tr),
 		engine100kScenario(w, tr),
+		engine10k64qScenario(w, tr),
 		churn10kScenario(),
 		{
 			Name: "topo-2k",

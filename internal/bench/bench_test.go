@@ -28,7 +28,7 @@ func TestScenarioRegistry(t *testing.T) {
 		}
 		seen[s.Name] = true
 	}
-	for _, want := range []string{"engine-1", "engine-4", "engine-16", "engine-16-w4", "engine-64", "engine-256", "engine-1k", "engine-1k-w4", "engine-100k", "churn-10k", "topo-2k", "churn-1k", "repair", "sweep", "innet-vs-base", "adaptivity", "transfer"} {
+	for _, want := range []string{"engine-1", "engine-4", "engine-16", "engine-16-w4", "engine-64", "engine-256", "engine-1k", "engine-1k-w4", "engine-100k", "engine-10k-64q", "churn-10k", "topo-2k", "churn-1k", "repair", "sweep", "innet-vs-base", "adaptivity", "transfer"} {
 		if !seen[want] {
 			t.Errorf("scenario %q missing from registry", want)
 		}

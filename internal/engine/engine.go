@@ -354,6 +354,9 @@ type Engine struct {
 	totalFailed, totalRepaired, totalFallbacks, totalRebuilds int
 	// Adaptivity totals across the run (see Report).
 	totalMigrations, totalAborted int
+	// retiredNet totals the counters of retired queries' networks, which
+	// retirement drops; the epoch barrier adds the live networks to it.
+	retiredNet traffic
 	// faults is the built fault plan (nil without Options.Faults); the
 	// remaining fields total its outcomes across the run (see Report).
 	faults                                           *faults.Plan
@@ -531,10 +534,14 @@ func (e *Engine) admit(q *Query, epoch int) {
 	q.admitEpoch = epoch
 }
 
-// retire freezes a live query's result.
+// retire freezes a live query's result and frees its deployment-sized
+// state: the stepper and the network go, the network's counters are
+// folded into the engine's retired-traffic total, and Report reads the
+// query from its frozen result from now on.
 func (e *Engine) retire(q *Query, epoch int) {
 	q.result = q.stepper.Finish()
-	q.stepper = nil
+	e.retiredNet.add(q.net.Metrics())
+	q.stepper, q.net = nil, nil
 	q.state = Retired
 	q.retireEpoch = epoch
 	e.unretired--

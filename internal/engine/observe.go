@@ -227,41 +227,23 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 
 	sm := e.shared.Metrics()
 	in.sharedBytes.Set(sm.TotalBytes)
-	// Migration traffic is control-plane traffic: its traffic class stays
-	// distinct for test assertions, but the published gauge folds it into
-	// sim.bytes.control.
-	var kind [3]int64
-	drops, retrans := sm.Drops, sm.Retransmissions
-	cutDrops, dups, delay := sm.CutDrops, sm.Duplicates, sm.DelaySlots
-	for k := sim.Control; k <= sim.Result; k++ {
-		kind[k] = sm.KindBytes(k)
-	}
-	kind[sim.Control] += sm.KindBytes(sim.Migration)
-	var queryBytes int64
-	for _, q := range e.queries {
-		if q.state == Pending {
-			continue
+	// Query traffic is the retired total plus every live network; a query
+	// retired at this barrier is already in the total.
+	t := e.retiredNet
+	for _, q := range e.stepList {
+		if q.net != nil {
+			t.add(q.net.Metrics())
 		}
-		m := q.net.Metrics()
-		queryBytes += m.TotalBytes
-		drops += m.Drops
-		retrans += m.Retransmissions
-		cutDrops += m.CutDrops
-		dups += m.Duplicates
-		delay += m.DelaySlots
-		for k := sim.Control; k <= sim.Result; k++ {
-			kind[k] += m.KindBytes(k)
-		}
-		kind[sim.Control] += m.KindBytes(sim.Migration)
 	}
-	in.queryBytes.Set(queryBytes)
-	in.drops.Set(drops)
-	in.retransmits.Set(retrans)
-	in.faultDrops.Set(cutDrops)
-	in.faultDups.Set(dups)
-	in.faultDelay.Set(delay)
+	in.queryBytes.Set(t.bytes)
+	t.add(sm)
+	in.drops.Set(t.drops)
+	in.retransmits.Set(t.retrans)
+	in.faultDrops.Set(t.cutDrops)
+	in.faultDups.Set(t.dups)
+	in.faultDelay.Set(t.delay)
 	for k := sim.Control; k <= sim.Result; k++ {
-		in.kindBytes[k].Set(kind[k])
+		in.kindBytes[k].Set(t.kind[k])
 	}
 
 	var tuples, joinMem int64
@@ -280,10 +262,33 @@ func (e *Engine) observeEpoch(live, admitted, retired, results, lost int) {
 	}
 	in.joinTuples.Set(tuples)
 
-	// Arena accounting: bytes held by each layer's slab-backed dense
-	// state.
+	// Layer memory: bytes each layer reports for its tables.
 	in.memJoin.Set(joinMem)
 	in.memRouting.Set(e.Sub.MemBytes())
+}
+
+// traffic is the part of a network's sim.Metrics the epoch barrier
+// publishes: its scalar counters, summed over networks.
+type traffic struct {
+	bytes, drops, retrans, cutDrops, dups, delay int64
+	// kind is bytes by class. Migration traffic is control-plane
+	// traffic: its class stays distinct for test assertions, but the
+	// published gauge folds it into sim.bytes.control.
+	kind [3]int64
+}
+
+// add sums m's counters into t.
+func (t *traffic) add(m *sim.Metrics) {
+	t.bytes += m.TotalBytes
+	t.drops += m.Drops
+	t.retrans += m.Retransmissions
+	t.cutDrops += m.CutDrops
+	t.dups += m.Duplicates
+	t.delay += m.DelaySlots
+	for k := sim.Control; k <= sim.Result; k++ {
+		t.kind[k] += m.KindBytes(k)
+	}
+	t.kind[sim.Control] += m.KindBytes(sim.Migration)
 }
 
 // observeAdapt folds one epoch's adaptivity outcome into the counters.

@@ -82,8 +82,8 @@ func TestObsCountersMatchReport(t *testing.T) {
 	if v, _ := snap.Value("join.state.tuples"); v < 0 {
 		t.Errorf("join.state.tuples = %d", v)
 	}
-	// Arena gauges: the routing substrate always holds slab-backed state,
-	// and the innet/base steppers report their carved join-layer bytes.
+	// Layer memory gauges: the routing substrate always holds table
+	// state, and the join steppers report their per-query table bytes.
 	if v, ok := snap.Value("mem.routing.bytes"); !ok || v <= 0 {
 		t.Errorf("mem.routing.bytes = %d (ok=%v), want > 0", v, ok)
 	}

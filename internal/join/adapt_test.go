@@ -139,7 +139,7 @@ func TestAdaptEpochAbortsOnDeadTarget(t *testing.T) {
 				// Window intact: the producers' retained tuples must be
 				// queryable at the base, not stranded at the dead node.
 				base := real.stateAt(topology.Base)
-				if ps := real.prodS[p.s]; ps != nil && len(ps.recent) > 0 && base.WindowLen(p.s) == 0 {
+				if ps := p.sp; ps != nil && len(ps.recent) > 0 && base.WindowLen(p.s) == 0 {
 					t.Fatalf("producer %d window lost in the abort", p.s)
 				}
 				// The pair must keep producing after the abort.

@@ -1,10 +1,11 @@
 package join
 
 import (
+	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/adapt"
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/mpo"
@@ -77,6 +78,8 @@ func (in Innet) Name() string {
 // pairState tracks one (s,t) pair's placement and learning state.
 type pairState struct {
 	s, t topology.NodeID
+	// sp / tp are the pair's S and T producer slots.
+	sp, tp *producerState
 	// path runs s..t; jIdx indexes the join node on it, or -1 when the
 	// pair joins at the base station.
 	path routing.Path
@@ -147,6 +150,7 @@ type producerState struct {
 	key    producerKey
 	pairs  []*pairState
 	tree   *mpo.MulticastTree
+	route  treeRoute
 	recent []window.Tuple
 	// replay / rebuild mark the producer for a window replay to the base
 	// and a multicast-tree rebuild; set and cleared within one
@@ -154,46 +158,86 @@ type producerState struct {
 	replay, rebuild bool
 }
 
-// engine is the mutable run state of one In-Net execution. All per-node
-// lookup tables are dense NodeID-indexed slices rather than maps: at
-// thousands of nodes the per-cycle map hashing dominated the hot path, and
-// NodeIDs are already a compact [0, n) key space.
+// treeRoute is a producer's multicast tree in tree-local numbering, built
+// on the tree's first dissemination (a tree the adaptivity or recovery
+// passes replace before any tuple crosses it never pays for one): nodes
+// lists the tree's nodes in ascending ID order (so local order is node
+// order), edges are the tree's EdgeList as local (parent, child) indices,
+// and reached / isJoin are one dissemination's marks, sized to the tree
+// rather than the deployment and all false between disseminations.
+type treeRoute struct {
+	nodes           []topology.NodeID
+	edges           [][2]int32
+	root            int32
+	reached, isJoin []bool
+}
+
+// newTreeRoute numbers tree's nodes and edges locally.
+func newTreeRoute(tree *mpo.MulticastTree) treeRoute {
+	el := tree.EdgeList()
+	// Every tree node but the root is the child of exactly one edge.
+	nodes := make([]topology.NodeID, 0, len(el)+1)
+	nodes = append(nodes, tree.Root)
+	for _, ed := range el {
+		nodes = append(nodes, ed[1])
+	}
+	slices.Sort(nodes)
+	local := func(id topology.NodeID) int32 {
+		k, _ := slices.BinarySearch(nodes, id)
+		return int32(k)
+	}
+	edges := make([][2]int32, len(el))
+	for k, ed := range el {
+		edges[k] = [2]int32{local(ed[0]), local(ed[1])}
+	}
+	marks := make([]bool, 2*len(nodes))
+	return treeRoute{
+		nodes:   nodes,
+		edges:   edges,
+		root:    local(tree.Root),
+		reached: marks[:len(nodes):len(nodes)],
+		isJoin:  marks[len(nodes):],
+	}
+}
+
+// bytes is the route's footprint for MemBytes.
+func (r *treeRoute) bytes() int64 {
+	return int64(len(r.nodes))*(4+2) + int64(len(r.edges))*8
+}
+
+// joinSite is the query's join state at one join node: the window state
+// and the matches it produced this cycle (merged into one result packet).
+type joinSite struct {
+	node    topology.NodeID
+	state   *window.State
+	matches int
+}
+
+// engine is the mutable run state of one In-Net execution. Every table is
+// sized to what the query touches — its pairs, its producer slots, its
+// join sites and its multicast trees — never to the deployment, so a
+// small query on a large network stays small.
 type engine struct {
-	cfg  *Config
-	opts InnetOptions
-	res  *Result
-	rec  *recorder
-	// mem accounts the query's dense per-node state: the NodeID-indexed
-	// slices below are carved from it in one slab per element type, and
-	// MemBytes answers the engine's mem.join.bytes gauge.
-	mem   *arena.Arena
+	cfg   *Config
+	opts  InnetOptions
+	res   *Result
+	rec   *recorder
 	pairs []*pairState
-	// pairsOfS[s] lists the pairs whose source endpoint is s; a (s,t)
-	// match resolves to its pairState by scanning this (short) bucket.
-	pairsOfS [][]*pairState
-	// prodS[id] / prodT[id] are the producer slots by role (nil when the
-	// node does not fill that role).
-	prodS, prodT []*producerState
-	order        []producerKey // deterministic iteration order
-	// states[j] is the join state hosted at node j (nil until created).
-	states []*window.State
+	// prods lists the producer slots in (id, role) order, the
+	// deterministic iteration order of every per-producer pass.
+	prods []*producerState
+	// sites holds the join state of each join node (created on demand).
+	sites  map[topology.NodeID]*joinSite
 	groups [][]*pairState
 
-	// Per-cycle scratch, sized to the topology at Start, so steady-state
-	// Step calls do not allocate: dense NodeID-indexed marks replace the
-	// per-cycle maps, touched lists bound the reset work, and the match /
-	// hop buffers are reused across cycles. Every buffer is reset before
-	// (or immediately after) use, so no state leaks between cycles.
-	matchCount  []int             // per-join-node matches this cycle
-	matchOrder  []topology.NodeID // join nodes with matches, first-touch order
-	matchBuf    []window.Match    // reusable Arrive result buffer
-	reached     []bool            // multicast: nodes reached this dissemination
-	reachedIDs  []topology.NodeID // touched entries of reached
-	isJoin      []bool            // multicast: join-node membership marks
-	joinList    []topology.NodeID // touched entries of isJoin
-	delivered   []bool            // unicast: join nodes already served
-	deliveredTo []topology.NodeID // touched entries of delivered
-	hop         [2]topology.NodeID
+	// Per-cycle scratch, reused so steady-state Step calls do not
+	// allocate. Every buffer is reset before use, so no state leaks
+	// between cycles.
+	matchOrder []*joinSite        // sites with matches, first-touch order
+	matchBuf   []window.Match     // reusable Arrive result buffer
+	served     []topology.NodeID  // unicast: join nodes already served
+	joins      []int32            // multicast: marked join nodes, tree-local
+	hop        [2]topology.NodeID // multicast: the edge being transmitted
 }
 
 // Run implements Algorithm. With Learn, every cycle ends with the same
@@ -214,23 +258,11 @@ func (in Innet) Run(cfg *Config) *Result {
 // group optimization, multicast trees, path collapsing) and returns the
 // cycle-steppable execution.
 func (in Innet) Start(cfg *Config) Stepper {
-	n := cfg.Topo.N()
-	mem := arena.New()
-	marks := arena.Carve[bool](mem, n, n, n)
-	prods := arena.Carve[*producerState](mem, n, n)
 	e := &engine{
-		cfg:        cfg,
-		opts:       in.Opts,
-		res:        &Result{Algorithm: in.Name()},
-		mem:        mem,
-		pairsOfS:   arena.Slice[[]*pairState](mem, n),
-		prodS:      prods[0],
-		prodT:      prods[1],
-		states:     arena.Slice[*window.State](mem, n),
-		matchCount: arena.Slice[int](mem, n),
-		reached:    marks[0],
-		isJoin:     marks[1],
-		delivered:  marks[2],
+		cfg:   cfg,
+		opts:  in.Opts,
+		res:   &Result{Algorithm: in.Name()},
+		sites: map[topology.NodeID]*joinSite{},
 	}
 	e.rec = newRecorder(e.res)
 	e.initiate()
@@ -252,18 +284,25 @@ func (e *engine) Results() int { return e.res.Results }
 // ResultsLost reports results dropped in flight to the base station.
 func (e *engine) ResultsLost() int { return e.res.ResultsLost }
 
-// MemBytes implements MemReporter: the arena-accounted dense per-node
-// state this query holds.
-func (e *engine) MemBytes() int64 { return e.mem.Bytes() }
+// MemBytes implements MemReporter: the bytes of the query's pair,
+// producer and join-site tables and of its multicast routes (window
+// contents are reported as tuples by JoinStateTuples).
+func (e *engine) MemBytes() int64 {
+	b := int64(len(e.pairs)) * int64(unsafe.Sizeof(pairState{})+8)
+	b += int64(len(e.sites)) * int64(unsafe.Sizeof(joinSite{})+8)
+	for _, ps := range e.prods {
+		b += int64(unsafe.Sizeof(producerState{})+8) + int64(len(ps.pairs))*8 + ps.route.bytes()
+	}
+	return b
+}
 
 // JoinStateTuples implements StateSized: the tuples buffered across every
 // join node's window state.
 func (e *engine) JoinStateTuples() int {
 	n := 0
-	for _, st := range e.states {
-		if st != nil {
-			n += st.Tuples()
-		}
+	//aspen:orderinvariant commutative integer sum over join sites
+	for _, site := range e.sites {
+		n += site.state.Tuples()
 	}
 	return n
 }
@@ -310,7 +349,6 @@ func (e *engine) initiate() {
 			p := &pairState{s: s, t: t, path: path, group: -1}
 			e.placePair(p, cfg.Opt, true)
 			e.pairs = append(e.pairs, p)
-			e.pairsOfS[s] = append(e.pairsOfS[s], p)
 			p.est = *adapt.New(e.placementParams(cfg.Opt))
 			if e.opts.Trigger > 0 {
 				p.est.Trigger = e.opts.Trigger
@@ -324,15 +362,27 @@ func (e *engine) initiate() {
 		}
 	}
 	// Producer bookkeeping.
-	for _, p := range e.pairs {
-		e.addProducerPair(producerKey{p.s, query.S}, p)
-		e.addProducerPair(producerKey{p.t, query.T}, p)
-	}
-	sort.Slice(e.order, func(a, b int) bool {
-		if e.order[a].id != e.order[b].id {
-			return e.order[a].id < e.order[b].id
+	slots := map[producerKey]*producerState{}
+	slot := func(key producerKey, p *pairState) *producerState {
+		ps := slots[key]
+		if ps == nil {
+			ps = &producerState{key: key}
+			slots[key] = ps
+			e.prods = append(e.prods, ps)
 		}
-		return e.order[a].role < e.order[b].role
+		ps.pairs = append(ps.pairs, p)
+		return ps
+	}
+	for _, p := range e.pairs {
+		p.sp = slot(producerKey{p.s, query.S}, p)
+		p.tp = slot(producerKey{p.t, query.T}, p)
+	}
+	sort.Slice(e.prods, func(a, b int) bool {
+		ka, kb := e.prods[a].key, e.prods[b].key
+		if ka.id != kb.id {
+			return ka.id < kb.id
+		}
+		return ka.role < kb.role
 	})
 	if e.opts.GroupOpt {
 		e.buildGroups()
@@ -367,47 +417,18 @@ func (e *engine) placePair(p *pairState, opt costmodel.Params, charge bool) {
 	}
 }
 
-// prodFor returns the producer slot for key, or nil when absent.
-func (e *engine) prodFor(key producerKey) *producerState {
-	if key.role == query.S {
-		return e.prodS[key.id]
+// siteAt returns (creating on demand) the join site at node j.
+func (e *engine) siteAt(j topology.NodeID) *joinSite {
+	site := e.sites[j]
+	if site == nil {
+		site = &joinSite{node: j, state: window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)}
+		e.sites[j] = site
 	}
-	return e.prodT[key.id]
-}
-
-func (e *engine) addProducerPair(key producerKey, p *pairState) {
-	ps := e.prodFor(key)
-	if ps == nil {
-		ps = &producerState{key: key}
-		if key.role == query.S {
-			e.prodS[key.id] = ps
-		} else {
-			e.prodT[key.id] = ps
-		}
-		e.order = append(e.order, key)
-	}
-	ps.pairs = append(ps.pairs, p)
-}
-
-// pairFor resolves a (s, t) match back to its pairState (nil when absent).
-func (e *engine) pairFor(s, t topology.NodeID) *pairState {
-	for _, p := range e.pairsOfS[s] {
-		if p.t == t {
-			return p
-		}
-	}
-	return nil
+	return site
 }
 
 // stateAt returns (creating on demand) the join state at node j.
-func (e *engine) stateAt(j topology.NodeID) *window.State {
-	st := e.states[j]
-	if st == nil {
-		st = window.NewState(e.cfg.Spec.W, e.cfg.Spec.DynJoin)
-		e.states[j] = st
-	}
-	return st
-}
+func (e *engine) stateAt(j topology.NodeID) *window.State { return e.siteAt(j).state }
 
 func (e *engine) registerPair(p *pairState) {
 	e.stateAt(p.joinNode()).AddPair(p.s, p.t)
@@ -560,8 +581,8 @@ func (e *engine) groupDecision(group []*pairState, opt costmodel.Params, charge 
 // current in-network segments, charging interior state pushes when charge
 // is set.
 func (e *engine) rebuildTrees(charge bool) {
-	for _, key := range e.order {
-		e.rebuildTree(e.prodFor(key), charge)
+	for _, ps := range e.prods {
+		e.rebuildTree(ps, charge)
 	}
 }
 
@@ -578,10 +599,10 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 		}
 	}
 	if len(paths) == 0 {
-		ps.tree = nil
+		ps.tree, ps.route = nil, treeRoute{}
 		return
 	}
-	ps.tree = mpo.BuildMulticast(ps.key.id, paths)
+	ps.tree, ps.route = mpo.BuildMulticast(ps.key.id, paths), treeRoute{}
 	if charge && e.cfg.Net != nil {
 		if bytes := ps.tree.InteriorStateBytes(sim.PathEntryBytes); bytes > 0 {
 			// The producer pushes cached subtree state one hop at a time
@@ -594,8 +615,8 @@ func (e *engine) rebuildTree(ps *producerState, charge bool) {
 // collapsePaths runs the Appendix E path-collapse optimization for every
 // producer with at least two node-disjoint in-network paths.
 func (e *engine) collapsePaths() {
-	for _, key := range e.order {
-		ps := e.prodFor(key)
+	for _, ps := range e.prods {
+		key := ps.key
 		var segs []routing.Path
 		var segPairs []*pairState
 		for _, p := range ps.pairs {
@@ -651,11 +672,11 @@ func (e *engine) collapsePaths() {
 func (e *engine) runCycle(cycle int) {
 	cfg := e.cfg
 	// Per cycle, deliveries from a producer are deduplicated per join
-	// node, and results are merged per join node (dense counts in
-	// e.matchCount, first-touch order in e.matchOrder).
+	// node, and results are merged per join site (counts on the site,
+	// first-touch order in e.matchOrder).
 	e.matchOrder = e.matchOrder[:0]
-	for _, key := range e.order {
-		ps := e.prodFor(key)
+	for _, ps := range e.prods {
+		key := ps.key
 		if !cfg.Net.Alive(key.id) {
 			continue
 		}
@@ -675,24 +696,29 @@ func (e *engine) runCycle(cycle int) {
 		}
 		e.deliver(ps, v, cycle)
 	}
-	for _, j := range e.matchOrder {
-		sendResults(cfg, e.rec, j, e.matchCount[j], cycle)
-		e.matchCount[j] = 0
+	for _, site := range e.matchOrder {
+		sendResults(cfg, e.rec, site.node, site.matches, cycle)
+		site.matches = 0
 	}
 }
 
-// noteMatches merges ms into the per-cycle result accounting and feeds the
-// learning estimators; it replaces the per-cycle addMatches closure.
-func (e *engine) noteMatches(j topology.NodeID, ms []window.Match) {
+// noteMatches merges ms — the matches of producer ps's arrival at site —
+// into the per-cycle result accounting and feeds the learning estimators.
+// Every match names the arriving producer in its own role, so its pair is
+// the one of ps's pairs whose other endpoint the match names.
+func (e *engine) noteMatches(site *joinSite, ps *producerState, ms []window.Match) {
 	if len(ms) > 0 {
-		if e.matchCount[j] == 0 {
-			e.matchOrder = append(e.matchOrder, j)
+		if site.matches == 0 {
+			e.matchOrder = append(e.matchOrder, site)
 		}
-		e.matchCount[j] += len(ms)
+		site.matches += len(ms)
 	}
 	for i := range ms {
-		if p := e.pairFor(ms[i].S, ms[i].T); p != nil {
-			p.est.ObserveResults(1)
+		for _, p := range ps.pairs {
+			if p.s == ms[i].S && p.t == ms[i].T {
+				p.est.ObserveResults(1)
+				break
+			}
 		}
 	}
 }
@@ -720,18 +746,17 @@ func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 		e.deliverMulticast(ps, v, cycle)
 		return
 	}
-	// Pairwise unicast with explicit path vectors.
-	e.deliveredTo = e.deliveredTo[:0]
+	// Pairwise unicast with explicit path vectors, once per join node.
+	e.served = e.served[:0]
 	for _, p := range ps.pairs {
 		if p.dead || p.jIdx < 0 {
 			continue
 		}
 		j := p.joinNode()
-		if e.delivered[j] {
+		if slices.Contains(e.served, j) {
 			continue
 		}
-		e.delivered[j] = true
-		e.deliveredTo = append(e.deliveredTo, j)
+		e.served = append(e.served, j)
 		seg := p.sSegment()
 		if ps.key.role == query.T {
 			seg = p.tSegment()
@@ -747,9 +772,6 @@ func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 		}
 		e.handleDeliveryFailure(ps, p, cycle)
 	}
-	for _, j := range e.deliveredTo {
-		e.delivered[j] = false
-	}
 }
 
 // deliverMulticast walks the producer's tree edge by edge; a failed edge
@@ -757,26 +779,29 @@ func (e *engine) deliver(ps *producerState, v int32, cycle int) {
 // payload is just the tuple.
 func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 	cfg := e.cfg
-	tree := ps.tree
-	e.reachedIDs = e.reachedIDs[:0]
-	e.reached[ps.key.id] = true
-	e.reachedIDs = append(e.reachedIDs, ps.key.id)
-	e.joinList = e.joinList[:0]
+	if ps.route.nodes == nil {
+		ps.route = newTreeRoute(ps.tree)
+	}
+	r := &ps.route
+	r.reached[r.root] = true
+	// Mark the live pairs' join nodes on the tree; a join node off the
+	// tree is never reached, so it is skipped.
+	e.joins = e.joins[:0]
 	for _, p := range ps.pairs {
 		if !p.dead && p.jIdx >= 0 {
-			if j := p.joinNode(); !e.isJoin[j] {
-				e.isJoin[j] = true
-				e.joinList = append(e.joinList, j)
+			if k, on := slices.BinarySearch(r.nodes, p.joinNode()); on && !r.isJoin[k] {
+				r.isJoin[k] = true
+				e.joins = append(e.joins, int32(k))
 			}
 		}
 	}
 	anyFailure := false
-	for _, edge := range tree.EdgeList() {
-		parent, child := edge[0], edge[1]
-		if !e.reached[parent] {
+	for _, edge := range r.edges {
+		if !r.reached[edge[0]] {
 			continue
 		}
-		e.hop[0], e.hop[1] = parent, child
+		child := r.nodes[edge[1]]
+		e.hop[0], e.hop[1] = r.nodes[edge[0]], child
 		ok, _ := cfg.Net.Transfer(e.hop[:], sim.TupleBytes, sim.Data, sim.Flow{Src: ps.key.id, Dst: child})
 		if !ok {
 			if !cfg.Net.Alive(child) {
@@ -784,21 +809,17 @@ func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 			}
 			continue
 		}
-		e.reached[child] = true
-		e.reachedIDs = append(e.reachedIDs, child)
+		r.reached[edge[1]] = true
 	}
-	// Insertion sort: join-node fan-out is small and sort.Slice allocates
-	// (closure + reflect-based swapper) on every call.
-	routing.SortNodeIDs(e.joinList)
-	for _, j := range e.joinList {
-		e.isJoin[j] = false
-		if e.reached[j] {
-			e.arriveAt(j, ps, v, cycle)
+	// Local order is node order, so join nodes arrive in ascending ID.
+	slices.Sort(e.joins)
+	for _, k := range e.joins {
+		r.isJoin[k] = false
+		if r.reached[k] {
+			e.arriveAt(r.nodes[k], ps, v, cycle)
 		}
 	}
-	for _, id := range e.reachedIDs {
-		e.reached[id] = false
-	}
+	clear(r.reached)
 	if anyFailure {
 		for _, p := range ps.pairs {
 			if !p.dead && p.jIdx >= 0 && !cfg.Net.Alive(p.joinNode()) {
@@ -811,7 +832,7 @@ func (e *engine) deliverMulticast(ps *producerState, v int32, cycle int) {
 // arriveAt feeds the tuple into the join state at j for every of ps's
 // pairs joined there, observing learning counters.
 func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle int) {
-	st := e.stateAt(j)
+	site := e.siteAt(j)
 	relevant := false
 	for _, p := range ps.pairs {
 		if p.dead || p.joinNode() != j {
@@ -827,8 +848,8 @@ func (e *engine) arriveAt(j topology.NodeID, ps *producerState, v int32, cycle i
 	if !relevant {
 		return
 	}
-	e.matchBuf = st.ArriveAppend(e.matchBuf[:0], ps.key.id, ps.key.role, v, cycle)
-	e.noteMatches(j, e.matchBuf)
+	e.matchBuf = site.state.ArriveAppend(e.matchBuf[:0], ps.key.id, ps.key.role, v, cycle)
+	e.noteMatches(site, ps, e.matchBuf)
 }
 
 // --- Failure handling (section 7) --------------------------------------------
@@ -962,7 +983,7 @@ func (e *engine) HandleLinkFaults(rp *routing.Repairer) (rerouted, fallbacks int
 // (and may abandon it): an affected, repairable pair tries the
 // limited-exploration repair through rp and keeps its join node when the
 // detour still reaches it; every other affected pair falls back to joining
-// at the base station. Afterwards, in the deterministic e.order pass, each
+// at the base station. Afterwards, in the deterministic e.prods pass, each
 // fallen-back pair's producers replay their retained windows to the base
 // (charged to the query's own stream, like any data) and every touched
 // producer's multicast tree is rebuilt.
@@ -980,14 +1001,13 @@ func (e *engine) recoverPairs(rp *routing.Repairer, check func(p *pairState) (af
 		} else {
 			e.fallbackToBase(p)
 			fallbacks++
-			e.prodS[p.s].replay = true
-			e.prodT[p.t].replay = true
+			p.sp.replay = true
+			p.tp.replay = true
 		}
-		e.prodS[p.s].rebuild = true
-		e.prodT[p.t].rebuild = true
+		p.sp.rebuild = true
+		p.tp.rebuild = true
 	}
-	for _, key := range e.order {
-		ps := e.prodFor(key)
+	for _, ps := range e.prods {
 		if ps.replay {
 			e.replayWindowToBase(ps)
 		}
@@ -1106,8 +1126,8 @@ func (e *engine) abortMigration(p *pairState, oldIdx int) {
 		return
 	}
 	e.fallbackToBase(p)
-	e.replayWindowToBase(e.prodS[p.s])
-	e.replayWindowToBase(e.prodT[p.t])
+	e.replayWindowToBase(p.sp)
+	e.replayWindowToBase(p.tp)
 	e.rebuildPairTrees(p)
 }
 
@@ -1115,8 +1135,8 @@ func (e *engine) abortMigration(p *pairState, oldIdx int) {
 // trees after p's join node moved; a no-op without multicast.
 func (e *engine) rebuildPairTrees(p *pairState) {
 	if e.opts.Multicast {
-		e.rebuildTree(e.prodS[p.s], true)
-		e.rebuildTree(e.prodT[p.t], true)
+		e.rebuildTree(p.sp, true)
+		e.rebuildTree(p.tp, true)
 	}
 }
 

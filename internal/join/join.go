@@ -66,7 +66,6 @@ type Result struct {
 	BaseBytes     int64
 	BaseMessages  int64
 	MaxNodeBytes  int64
-	NodeBytes     []int64
 	Drops         int64
 	// Results counts join results delivered to the base station.
 	Results int
@@ -76,10 +75,12 @@ type Result struct {
 	// result never silently vanishes (the fault-injection layer's
 	// end-to-end delivery guarantee; feeds the faults.losses counter).
 	ResultsLost int
-	// Delays records, per delivered result, the gap in sampling cycles
-	// since the previous delivered result (the paper's Fig 14 "result
-	// delay": how long the base waits between events).
-	Delays []int
+	// DelaySum and DelayCount total, over every delivered result after
+	// the first, the gap in sampling cycles since the previous delivered
+	// result (the paper's Fig 14 "result delay": how long the base waits
+	// between events). Two counters, not a per-result list, so a query
+	// that runs forever holds a bounded result.
+	DelaySum, DelayCount int
 	// Migrations counts committed adaptive join-node moves: section 6
 	// re-optimization run through Adaptive.AdaptEpoch, by a single-query
 	// Innet learn Run or by an engine with adaptivity enabled.
@@ -102,14 +103,10 @@ type Result struct {
 
 // MeanDelay returns the average inter-result delay in cycles.
 func (r *Result) MeanDelay() float64 {
-	if len(r.Delays) == 0 {
+	if r.DelayCount == 0 {
 		return float64(0)
 	}
-	s := 0
-	for _, d := range r.Delays {
-		s += d
-	}
-	return float64(s) / float64(len(r.Delays))
+	return float64(r.DelaySum) / float64(r.DelayCount)
 }
 
 // Algorithm is one join strategy.
@@ -184,9 +181,11 @@ type LinkFaultRecoverer interface {
 	HandleLinkFaults(rp *routing.Repairer) (rerouted, fallbacks int)
 }
 
-// MemReporter is implemented by steppers that account their dense
-// per-node state on arena slabs. The engine sums the reports into its
-// per-layer mem.join.bytes gauge at each epoch barrier.
+// MemReporter is implemented by steppers that report the bytes of their
+// per-query tables (the In-Net stepper computes it from its compact
+// tables, the grouped baselines from their arena carves). The engine sums
+// the reports into its per-layer mem.join.bytes gauge at each epoch
+// barrier.
 type MemReporter interface {
 	MemBytes() int64
 }
@@ -260,7 +259,6 @@ func finish(cfg *Config, res *Result) *Result {
 	res.BaseBytes = m.BaseBytes
 	res.BaseMessages = m.BaseMessages
 	res.MaxNodeBytes = m.MaxNodeBytes()
-	res.NodeBytes = append([]int64(nil), m.NodeBytes...)
 	res.Drops = m.Drops
 	return res
 }
@@ -276,10 +274,14 @@ func newRecorder(res *Result) *recorder { return &recorder{res: res} }
 
 // record notes n results delivered at the given cycle.
 func (r *recorder) record(n, cycle int) {
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		// The first of the n results waits since the previous delivery;
+		// the other n-1 arrive with it, each a gap of zero.
 		if r.any {
-			r.res.Delays = append(r.res.Delays, cycle-r.lastCycle)
+			r.res.DelaySum += cycle - r.lastCycle
+			r.res.DelayCount++
 		}
+		r.res.DelayCount += n - 1
 		r.any = true
 		r.lastCycle = cycle
 	}

@@ -256,10 +256,11 @@ func TestFailureSwitchesPairToBase(t *testing.T) {
 	// exported surface: use failure injection on the node observed to
 	// carry join traffic. Simplest robust choice: fail the node with the
 	// highest non-base load in the no-failure run.
-	noFail := Innet{}.Run(h.config(100, 0))
+	noFailCfg := h.config(100, 0)
+	noFail := Innet{}.Run(noFailCfg)
 	var victim topology.NodeID = -1
 	var best int64
-	for i, b := range noFail.NodeBytes {
+	for i, b := range noFailCfg.Net.Metrics().NodeBytes {
 		id := topology.NodeID(i)
 		if id == topology.Base || h.spec.EligibleS(id) || h.spec.EligibleT(id) {
 			continue
@@ -294,7 +295,7 @@ func TestMeanDelayReflectsJoinSelectivity(t *testing.T) {
 	h05 := newHarness(t, "Q0", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.05})
 	d20 := Innet{}.Run(h20.config(200, 0))
 	d05 := Innet{}.Run(h05.config(200, 0))
-	if len(d20.Delays) == 0 || len(d05.Delays) == 0 {
+	if d20.DelayCount == 0 || d05.DelayCount == 0 {
 		t.Skip("not enough results for delay comparison")
 	}
 	if d05.MeanDelay() <= d20.MeanDelay() {
@@ -332,14 +333,8 @@ func TestRecorderDelays(t *testing.T) {
 		t.Fatalf("Results = %d", res.Results)
 	}
 	// Gaps: 9-5=4, 12-9=3, 12-12=0.
-	want := []int{4, 3, 0}
-	if len(res.Delays) != len(want) {
-		t.Fatalf("Delays = %v", res.Delays)
-	}
-	for i := range want {
-		if res.Delays[i] != want[i] {
-			t.Fatalf("Delays = %v, want %v", res.Delays, want)
-		}
+	if res.DelayCount != 3 || res.DelaySum != 7 {
+		t.Fatalf("DelayCount, DelaySum = %d, %d, want 3, 7", res.DelayCount, res.DelaySum)
 	}
 	if res.MeanDelay() < 2.3 || res.MeanDelay() > 2.4 {
 		t.Fatalf("MeanDelay = %v", res.MeanDelay())
@@ -387,7 +382,7 @@ func TestYang07OverflowsBoundedQueues(t *testing.T) {
 	h := newHarness(t, "Q1", workload.Rates{SigmaS: 1, SigmaT: 1, SigmaST: 0.2})
 	run := func(alg Algorithm) (*Result, int64) {
 		cfg := h.config(50, 0)
-		cfg.Net.QueueLimit = 8 // a small TinyOS-style forwarding queue
+		cfg.Net.SetQueueLimit(8) // a small TinyOS-style forwarding queue
 		res := alg.Run(cfg)
 		return res, cfg.Net.QueueDrops()
 	}

@@ -7,6 +7,11 @@ import (
 	"repro/internal/topology"
 )
 
+// valueOf is the IndexSpec value function reading a fixed column.
+func valueOf(vals []int32) func(topology.NodeID) int32 {
+	return func(id topology.NodeID) int32 { return vals[id] }
+}
+
 // extendSpecs builds two small index specs over deterministic per-node
 // values.
 func extendSpecs(n int) []IndexSpec {
@@ -17,8 +22,8 @@ func extendSpecs(n int) []IndexSpec {
 		b[i] = int32((i * 7) % 29)
 	}
 	return []IndexSpec{
-		{Attr: "alpha", Kind: BloomSummary, Values: a},
-		{Attr: "beta", Kind: BloomSummary, Values: b},
+		{Attr: "alpha", Kind: BloomSummary, Value: valueOf(a)},
+		{Attr: "beta", Kind: BloomSummary, Value: valueOf(b)},
 	}
 }
 

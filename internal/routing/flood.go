@@ -90,7 +90,7 @@ func (s *Substrate) UpdateAttribute(net *sim.Network, attr string, assign map[to
 	delay := FloodUpdate(net, s.Trees[0], payload, addressed)
 	// Apply the new values.
 	for _, id := range ids {
-		s.specs[idx].Values[id] = assign[id]
+		s.vals[idx][id] = assign[id]
 	}
 	// Refresh summaries: rebuild tables (they are derived state), then
 	// charge the ancestor-chain updates each affected node ships in each

@@ -203,8 +203,8 @@ func fullRepairReference(s *Substrate, net *sim.Network, live *topology.Liveness
 		}
 		nt := RebuildTreeLive(s.Topo, tree, root, net, live)
 		s.Trees[ti] = nt
-		for ci, spec := range s.specs {
-			s.cols[ti][ci] = s.buildColumn(nt, spec)
+		for ci := range s.specs {
+			s.cols[ti][ci] = s.buildColumn(nt, ci)
 		}
 		if s.indexPos {
 			s.regions[ti] = s.buildRegions(nt)
@@ -233,8 +233,8 @@ func TestRepairChargesMatchFullRebuild(t *testing.T) {
 		vals[i] = int32(i % 37)
 	}
 	specs := []IndexSpec{
-		{Attr: "id", Kind: BloomSummary, Values: vals},
-		{Attr: "band", Kind: HistogramSummary, Values: vals, Lo: 0, Hi: 37},
+		{Attr: "id", Kind: BloomSummary, Value: valueOf(vals)},
+		{Attr: "band", Kind: HistogramSummary, Value: valueOf(vals), Lo: 0, Hi: 37},
 	}
 	netA := sim.NewSharedNetwork(topo, 0.05, 99, live)
 	netB := sim.NewSharedNetwork(topo, 0.05, 99, live)

@@ -180,7 +180,7 @@ func TestSubstrateIndexedSearch(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valueOf(vals)}},
 	}, nil)
 	// Search for nodes with k == 4 from node 1.
 	m := &keyMatcher{attr: "k", key: 4, vals: vals}
@@ -232,7 +232,7 @@ func TestSearchFindsAllDespiteSummaryPruning(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 3,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valueOf(vals)}},
 	}, nil)
 	for key := int32(0); key < 23; key++ {
 		pruned := s.FindTargets(5, &keyMatcher{attr: "k", key: key, vals: vals}, nil)
@@ -257,7 +257,7 @@ func TestSearchChargesTraffic(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valueOf(vals)}},
 	}, nil)
 	netPruned := sim.NewNetwork(topo, 0, 1)
 	s.FindTargets(1, &keyMatcher{attr: "k", key: 3, vals: vals}, netPruned)
@@ -284,7 +284,7 @@ func TestSubstrateConstructionCharged(t *testing.T) {
 	net := sim.NewNetwork(topo, 0, 1)
 	NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valueOf(vals)}},
 	}, net)
 	m := net.Metrics()
 	// 2 trees x (100 beacons + 99 summary ships).
@@ -302,9 +302,9 @@ func TestEntrySummaryKinds(t *testing.T) {
 	s := NewSubstrate(topo, Options{
 		NumTrees: 1,
 		Indexes: []IndexSpec{
-			{Attr: "b", Kind: BloomSummary, Values: vals},
-			{Attr: "i", Kind: IntervalSummary, Values: vals},
-			{Attr: "h", Kind: HistogramSummary, Values: vals, Lo: 0, Hi: 15},
+			{Attr: "b", Kind: BloomSummary, Value: valueOf(vals)},
+			{Attr: "i", Kind: IntervalSummary, Value: valueOf(vals)},
+			{Attr: "h", Kind: HistogramSummary, Value: valueOf(vals), Lo: 0, Hi: 15},
 		},
 		IndexPositions: true,
 	}, nil)
@@ -451,7 +451,7 @@ func TestUpdateAttributeRefreshesSummaries(t *testing.T) {
 	}
 	s := NewSubstrate(topo, Options{
 		NumTrees: 2,
-		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Values: vals}},
+		Indexes:  []IndexSpec{{Attr: "k", Kind: BloomSummary, Value: valueOf(vals)}},
 	}, nil)
 	net := sim.NewNetwork(topo, 0, 1)
 	// Assign a brand-new value 77 to node 42.
@@ -463,12 +463,13 @@ func TestUpdateAttributeRefreshesSummaries(t *testing.T) {
 		t.Fatal("update charged no traffic")
 	}
 	// Search for 77 from an arbitrary node must now find node 42.
-	found := s.FindTargets(3, &keyMatcher{attr: "k", key: 77, vals: vals}, nil)
-	// keyMatcher reads the ground-truth vals slice, which UpdateAttribute
-	// mutated through the spec — confirm.
-	if vals[42] != 77 {
-		t.Fatal("UpdateAttribute did not write through to the index values")
+	// The substrate keeps its own copy of the indexed values: the update
+	// must land there, and the ground truth the matcher reads follows it.
+	if got := s.vals[s.ColumnIndex("k")][42]; got != 77 {
+		t.Fatalf("indexed value of node 42 = %d after the update, want 77", got)
 	}
+	vals[42] = 77
+	found := s.FindTargets(3, &keyMatcher{attr: "k", key: 77, vals: vals}, nil)
 	if _, ok := found[42]; !ok || len(found) != 1 {
 		t.Fatalf("post-update search found %v, want node 42 only", found)
 	}

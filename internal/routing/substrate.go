@@ -25,9 +25,13 @@ const (
 // IndexSpec declares one indexed static attribute: its name, per-node
 // values, and the summary structure to use.
 type IndexSpec struct {
-	Attr   string
-	Kind   SummaryKind
-	Values []int32 // Values[node] is the node's static attribute value
+	Attr string
+	Kind SummaryKind
+	// Value returns a node's static attribute value. The substrate calls
+	// it for every node once, when the attribute is first indexed, and
+	// keeps the values; a spec naming an attribute already indexed is
+	// never evaluated, so a query's spec holds no deployment-sized column.
+	Value func(id topology.NodeID) int32
 	// Lo, Hi bound the domain for HistogramSummary.
 	Lo, Hi int32
 	// Buckets is the histogram bucket count (default 16).
@@ -107,7 +111,10 @@ type Substrate struct {
 	// indexing is enabled (Query 3's R-tree).
 	regions [][]*summary.Region
 	specs   []IndexSpec
-	colOf   map[string]int // attribute name -> column index
+	// vals[col][node] is the node's value of the attribute at column col,
+	// evaluated once from the spec when the attribute was first indexed.
+	vals  [][]int32
+	colOf map[string]int // attribute name -> column index
 	// indexPos records whether positions are indexed with R-trees.
 	indexPos bool
 	pos      []geom.Point
@@ -157,6 +164,9 @@ func (s *Substrate) MemBytes() int64 {
 			}
 		}
 	}
+	for _, v := range s.vals {
+		b += int64(len(v)) * 4
+	}
 	for _, regs := range s.regions {
 		b += int64(len(regs)) * 8
 		for _, r := range regs {
@@ -190,12 +200,11 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	}
 	s := &Substrate{
 		Topo:     topo,
-		specs:    opts.Indexes,
 		indexPos: opts.IndexPositions,
 		colOf:    make(map[string]int, len(opts.Indexes)),
 	}
-	for i, spec := range s.specs {
-		s.colOf[spec.Attr] = i
+	for _, spec := range opts.Indexes {
+		s.addSpec(spec)
 	}
 	if opts.IndexPositions {
 		s.pos = make([]geom.Point, topo.N())
@@ -233,14 +242,26 @@ func NewSubstrate(topo *topology.Topology, opts Options, net *sim.Network) *Subs
 	return s
 }
 
-// buildColumn computes one attribute's summary column for tree, bottom-up:
-// each node's summary folds its own value and merges its children's
-// (children precede parents in deepest-first order).
-func (s *Substrate) buildColumn(tree *Tree, spec IndexSpec) []summary.Summary {
+// addSpec registers spec at the next column and evaluates its values.
+func (s *Substrate) addSpec(spec IndexSpec) {
+	vals := make([]int32, s.Topo.N())
+	for i := range vals {
+		vals[i] = spec.Value(topology.NodeID(i))
+	}
+	s.colOf[spec.Attr] = len(s.specs)
+	s.specs = append(s.specs, spec)
+	s.vals = append(s.vals, vals)
+}
+
+// buildColumn computes column ci's summaries for tree, bottom-up: each
+// node's summary folds its own value and merges its children's (children
+// precede parents in deepest-first order).
+func (s *Substrate) buildColumn(tree *Tree, ci int) []summary.Summary {
 	col := make([]summary.Summary, s.Topo.N())
+	vals := s.vals[ci]
 	for _, id := range tree.DeepFirst() {
-		sm := s.newSummary(spec)
-		sm.AddValue(spec.Values[id])
+		sm := s.newSummary(s.specs[ci])
+		sm.AddValue(vals[id])
 		for _, c := range tree.Children[id] {
 			sm.Merge(col[c])
 		}
@@ -272,8 +293,8 @@ func (s *Substrate) buildTables(net *sim.Network) {
 	}
 	for ti, tree := range s.Trees {
 		s.cols[ti] = make([][]summary.Summary, len(s.specs))
-		for ci, spec := range s.specs {
-			s.cols[ti][ci] = s.buildColumn(tree, spec)
+		for ci := range s.specs {
+			s.cols[ti][ci] = s.buildColumn(tree, ci)
 		}
 		if s.indexPos {
 			s.regions[ti] = s.buildRegions(tree)
@@ -362,8 +383,8 @@ func (s *Substrate) RepairTrees(net *sim.Network, live *topology.Liveness, faile
 		}
 		nt := RebuildTreeLive(s.Topo, tree, root, net, live)
 		s.Trees[ti] = nt
-		for ci, spec := range s.specs {
-			s.cols[ti][ci] = s.buildColumn(nt, spec)
+		for ci := range s.specs {
+			s.cols[ti][ci] = s.buildColumn(nt, ci)
 		}
 		if s.indexPos {
 			s.regions[ti] = s.buildRegions(nt)
@@ -390,7 +411,7 @@ func (s *Substrate) patchColumns(ti int, tree *Tree, dirty []topology.NodeID) {
 	for _, id := range dirty {
 		for ci, spec := range s.specs {
 			sm := s.newSummary(spec)
-			sm.AddValue(spec.Values[id])
+			sm.AddValue(s.vals[ci][id])
 			for _, c := range tree.Children[id] {
 				sm.Merge(s.cols[ti][ci][c])
 			}
@@ -478,23 +499,21 @@ func (s *Substrate) HasPositionIndex() bool { return s.indexPos }
 // dissemination, later queries share the table for free. This is the
 // multi-query traffic-sharing path used by internal/engine; the routing
 // trees themselves are never rebuilt. In the columnar layout an extension
-// is a column append per tree — existing columns are untouched.
+// is a column append per tree — existing columns are untouched — and the
+// only time a spec's Value function runs.
 func (s *Substrate) ExtendIndexes(specs []IndexSpec, net *sim.Network) {
-	var fresh []IndexSpec
+	firstNew := len(s.specs)
 	for _, spec := range specs {
 		if !s.HasIndex(spec.Attr) {
-			fresh = append(fresh, spec)
-			s.colOf[spec.Attr] = len(s.specs)
-			s.specs = append(s.specs, spec)
+			s.addSpec(spec)
 		}
 	}
-	if len(fresh) == 0 {
+	if len(s.specs) == firstNew {
 		return
 	}
 	for ti, tree := range s.Trees {
-		firstNew := len(s.cols[ti])
-		for _, spec := range fresh {
-			s.cols[ti] = append(s.cols[ti], s.buildColumn(tree, spec))
+		for ci := firstNew; ci < len(s.specs); ci++ {
+			s.cols[ti] = append(s.cols[ti], s.buildColumn(tree, ci))
 		}
 		if net != nil {
 			for i := 0; i < s.Topo.N(); i++ {

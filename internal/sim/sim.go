@@ -90,10 +90,10 @@ type Metrics struct {
 	// BaseMessages is the message-count analogue of BaseBytes.
 	BaseMessages int64
 	// NodeBytes[i] is bytes transmitted by node i (Fig 5's load
-	// distribution and Fig 13's "max traffic by any node").
+	// distribution and Fig 13's "max traffic by any node"). It is the one
+	// deployment-sized array a network holds; the mesh metric (messages)
+	// is carried by TotalMessages and BaseMessages alone.
 	NodeBytes []int64
-	// NodeMessages[i] is transmission attempts by node i.
-	NodeMessages []int64
 	// ByKind breaks TotalBytes down by traffic class.
 	ByKind [4]int64
 	// Drops counts messages abandoned after exhausting retransmissions.
@@ -101,7 +101,7 @@ type Metrics struct {
 	// Retransmissions counts extra attempts beyond the first, per hop.
 	Retransmissions int64
 	// QueueDrops counts messages lost to per-cycle relay-queue overflow
-	// (only with Network.QueueLimit set).
+	// (only with a queue limit set, see Network.SetQueueLimit).
 	QueueDrops int64
 	// Attempted counts Transfer calls that entered the charging loop (a
 	// live sender with a multi-hop path). Together with Delivered it pins
@@ -193,18 +193,16 @@ type Network struct {
 	// MaxRetries bounds retransmission attempts per hop after the first.
 	MaxRetries int
 
-	// QueueLimit, when positive, bounds how many messages a node can
-	// relay per sampling cycle (its radio/forwarding queue). Messages
-	// beyond the limit are dropped at that hop — the failure mode that
-	// prevented Yang+07 from completing runs in the paper ("its routing
-	// queues overflow almost immediately"). Zero disables the model.
-	QueueLimit int
+	// queueLimit, when positive, bounds how many messages a node can
+	// relay per sampling cycle (see SetQueueLimit); cycleLoad counts each
+	// node's relays this cycle and exists only while a limit is set.
+	queueLimit int
+	cycleLoad  []int
 
-	metrics   Metrics
-	loss      *rng.Source
-	live      *topology.Liveness
-	observer  HopObserver
-	cycleLoad []int
+	metrics  Metrics
+	loss     *rng.Source
+	live     *topology.Liveness
+	observer HopObserver
 	// faults is the installed fault injector (nil = fault-free). Transfer
 	// consults it once per hop; a zero LinkState must leave the hop's
 	// charge and loss-draw sequence byte-identical to no injector at all.
@@ -231,7 +229,6 @@ func NewNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64) *Net
 // node failing is dead for all of them simultaneously; each network keeps
 // its own metrics and loss stream.
 func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64, live *topology.Liveness) *Network {
-	n := topo.N()
 	return &Network{
 		Topo:       topo,
 		LossProb:   lossProb,
@@ -239,12 +236,22 @@ func NewSharedNetwork(topo *topology.Topology, lossProb float64, lossSeed uint64
 		retry:      DefaultRetryPolicy(),
 		loss:       rng.New(lossSeed).Split(0xC0FFEE),
 		live:       live,
-		cycleLoad:  make([]int, n),
 		begunCycle: -1,
-		metrics: Metrics{
-			NodeBytes:    make([]int64, n),
-			NodeMessages: make([]int64, n),
-		},
+		metrics:    Metrics{NodeBytes: make([]int64, topo.N())},
+	}
+}
+
+// SetQueueLimit bounds how many messages a node can relay per sampling
+// cycle (its radio/forwarding queue). Messages beyond the limit are
+// dropped at that hop — the failure mode that prevented Yang+07 from
+// completing runs in the paper ("its routing queues overflow almost
+// immediately"). A limit <= 0 disables the model, which is the default.
+// The per-node relay counters are allocated here, never on the Transfer
+// path, so networks without a limit carry none.
+func (n *Network) SetQueueLimit(limit int) {
+	n.queueLimit = limit
+	if limit > 0 && n.cycleLoad == nil {
+		n.cycleLoad = make([]int, n.Topo.N())
 	}
 }
 
@@ -254,11 +261,11 @@ func (n *Network) Liveness() *topology.Liveness { return n.live }
 
 // BeginCycle resets the per-cycle relay queues for the given sampling
 // cycle. Engines call it at the start of every cycle; it is a no-op when
-// QueueLimit is off, and idempotent within a cycle — repeated calls with
+// no queue limit is set, and idempotent within a cycle — repeated calls with
 // the same cycle number (steppers sharing one network each announcing the
 // cycle) reset nothing, so mid-cycle relay budgets survive.
 func (n *Network) BeginCycle(cycle int) {
-	if n.QueueLimit <= 0 || cycle == n.begunCycle {
+	if n.queueLimit <= 0 || cycle == n.begunCycle {
 		return
 	}
 	n.begunCycle = cycle
@@ -277,11 +284,8 @@ func (n *Network) Metrics() *Metrics { return &n.metrics }
 // ResetMetrics zeroes all counters, e.g. to separate initiation cost from
 // computation cost within one run.
 func (n *Network) ResetMetrics() {
-	for i := range n.metrics.NodeBytes {
-		n.metrics.NodeBytes[i] = 0
-		n.metrics.NodeMessages[i] = 0
-	}
-	n.metrics = Metrics{NodeBytes: n.metrics.NodeBytes, NodeMessages: n.metrics.NodeMessages}
+	clear(n.metrics.NodeBytes)
+	n.metrics = Metrics{NodeBytes: n.metrics.NodeBytes}
 }
 
 // SetObserver registers the snooping hook (nil disables).
@@ -315,7 +319,6 @@ func (n *Network) chargeHopN(from, to topology.NodeID, bytes int, kind MsgKind, 
 	m.TotalBytes += total
 	m.TotalMessages += int64(attempts)
 	m.NodeBytes[from] += total
-	m.NodeMessages[from] += int64(attempts)
 	m.ByKind[kind] += total
 	if from == topology.Base || to == topology.Base {
 		m.BaseBytes += total
@@ -352,11 +355,11 @@ func (n *Network) Transfer(path []topology.NodeID, payloadBytes int, kind MsgKin
 	size := HeaderBytes + payloadBytes
 	for i := 0; i+1 < len(path); i++ {
 		from, to := path[i], path[i+1]
-		if n.QueueLimit > 0 {
+		if n.queueLimit > 0 {
 			// The sender must enqueue the message for forwarding; a full
 			// queue silently drops it (no transmission happens).
 			n.cycleLoad[from]++
-			if n.cycleLoad[from] > n.QueueLimit {
+			if n.cycleLoad[from] > n.queueLimit {
 				n.metrics.QueueDrops++
 				return false, i
 			}

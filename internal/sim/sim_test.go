@@ -255,7 +255,7 @@ func TestMsgKindString(t *testing.T) {
 
 func TestQueueLimitDropsExcess(t *testing.T) {
 	net := NewNetwork(chain(t), 0, 1)
-	net.QueueLimit = 2
+	net.SetQueueLimit(2)
 	net.BeginCycle(0)
 	// Node 1 relays for paths 0->2; its per-cycle budget is 2 sends.
 	okCount := 0
@@ -285,7 +285,7 @@ func TestQueueLimitDropsExcess(t *testing.T) {
 // fresh queue budget mid-cycle.
 func TestBeginCycleIdempotentPerCycle(t *testing.T) {
 	net := NewNetwork(chain(t), 0, 1)
-	net.QueueLimit = 2
+	net.SetQueueLimit(2)
 	net.BeginCycle(0)
 	delivered := 0
 	for i := 0; i < 4; i++ {

@@ -52,9 +52,8 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 
 	// The substrate indexes the primary target attribute; values come from
 	// the node statics through the same binding the evaluator uses.
-	values := make([]int32, topo.N())
-	for i := range values {
-		values[i] = PairBinding{S: &nodes[i], T: &nodes[i]}.Value(query.T, primary.TargetAttr)
+	target := func(id topology.NodeID) int32 {
+		return PairBinding{S: &nodes[id], T: &nodes[id]}.Value(query.T, primary.TargetAttr)
 	}
 
 	spec := &Spec{
@@ -75,9 +74,9 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 			return c.Parts.JoinDynamic.Eval(dynCell)
 		},
 		Indexes: []routing.IndexSpec{{
-			Attr:   primary.TargetAttr,
-			Kind:   routing.BloomSummary,
-			Values: values,
+			Attr:  primary.TargetAttr,
+			Kind:  routing.BloomSummary,
+			Value: target,
 		}},
 		Rates: rates,
 	}
@@ -89,7 +88,7 @@ func SpecFromSQL(src string, topo *topology.Topology, nodes []NodeInfo, rates Ra
 			return int64(primary.SourceTerm.Eval(selfBinding(id))), true
 		}
 		spec.GroupKeyT = func(id topology.NodeID) (int64, bool) {
-			return int64(values[id]), true
+			return int64(target(id)), true
 		}
 	} else {
 		spec.GroupKeyS = func(topology.NodeID) (int64, bool) { return 0, false }

@@ -200,10 +200,6 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		partner[s], partner[t] = t, s
 		sSet[s], tSet[t] = true, true
 	}
-	ids := make([]int32, topo.N())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
 	spec := &Spec{
 		Name:      "Q0",
 		W:         3,
@@ -216,7 +212,7 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 		// pair is trivially a group keyed by its S endpoint.
 		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(id), true },
 		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(partner[id]), true },
-		Indexes:   []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Values: ids}},
+		Indexes:   []routing.IndexSpec{{Attr: "id", Kind: routing.BloomSummary, Value: func(id topology.NodeID) int32 { return int32(id) }}},
 		Rates:     rates,
 		pairs:     pairs,
 	}
@@ -233,12 +229,6 @@ func Query0(topo *topology.Topology, nodes []NodeInfo, nPairs int, rates Rates, 
 // Query1 is Table 2's non-1:1 join with uniform endpoints:
 // S.id < 25, T.id > 50, S.x = T.y + 5, S.u = T.u.
 func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
-	ys := make([]int32, topo.N())
-	ids := make([]int32, topo.N())
-	for i := range ys {
-		ys[i] = nodes[i].Y
-		ids[i] = nodes[i].ID
-	}
 	spec := &Spec{
 		Name:      "Q1",
 		W:         3,
@@ -250,8 +240,8 @@ func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 		GroupKeyS: func(id topology.NodeID) (int64, bool) { return int64(nodes[id].X) - 5, true },
 		GroupKeyT: func(id topology.NodeID) (int64, bool) { return int64(nodes[id].Y), true },
 		Indexes: []routing.IndexSpec{
-			{Attr: "y", Kind: routing.BloomSummary, Values: ys},
-			{Attr: "id", Kind: routing.IntervalSummary, Values: ids},
+			{Attr: "y", Kind: routing.BloomSummary, Value: func(id topology.NodeID) int32 { return nodes[id].Y }},
+			{Attr: "id", Kind: routing.IntervalSummary, Value: func(id topology.NodeID) int32 { return nodes[id].ID }},
 		},
 		Rates: rates,
 	}
@@ -272,12 +262,6 @@ func Query1(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 // S.cid = T.cid, S.id % 4 = T.id % 4, S.u = T.u. The cid equality is the
 // primary (routable) clause; the id-residue equality is secondary.
 func Query2(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
-	cids := make([]int32, topo.N())
-	rids := make([]int32, topo.N())
-	for i := range cids {
-		cids[i] = nodes[i].Cid
-		rids[i] = nodes[i].Rid
-	}
 	match := func(s, t topology.NodeID) bool {
 		return nodes[s].Cid == nodes[t].Cid && nodes[s].ID%4 == nodes[t].ID%4
 	}
@@ -296,8 +280,8 @@ func Query2(topo *topology.Topology, nodes []NodeInfo, rates Rates) *Spec {
 			return int64(nodes[id].Cid)<<8 | int64(nodes[id].ID%4), true
 		},
 		Indexes: []routing.IndexSpec{
-			{Attr: "cid", Kind: routing.BloomSummary, Values: cids},
-			{Attr: "rid", Kind: routing.BloomSummary, Values: rids},
+			{Attr: "cid", Kind: routing.BloomSummary, Value: func(id topology.NodeID) int32 { return nodes[id].Cid }},
+			{Attr: "rid", Kind: routing.BloomSummary, Value: func(id topology.NodeID) int32 { return nodes[id].Rid }},
 		},
 		Rates: rates,
 	}
